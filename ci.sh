@@ -19,6 +19,17 @@ cargo test -q --offline --test ingest_overload
 echo "== cargo test -q"
 cargo test -q --workspace --offline
 
+echo "== placement property tests, --release (the only guard on relocate's early return)"
+cargo test -q --offline --release -p vlsi-core --lib -- \
+  relocation_matches_the_always_reprogram_reference free_space_cache_matches_a_fresh_finder
+
+echo "== core.relocations vs moved (acceptance run: every relocation is a move)"
+# A chip that re-programs processors where they stand counts more
+# relocations than the log has moves; the test asserts equality and the
+# grep puts the counts on the CI record.
+cargo test -q --offline --test runtime_scheduler \
+  relocations_in_the_acceptance_run_are_all_moves -- --nocapture | grep "core.relocations"
+
 echo "== cargo build --release (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build -q --release --offline --workspace
 

@@ -583,7 +583,8 @@ pub struct SoaSweepReport {
 
 /// Gathers `lanes` 2×2 APs on a `width × width` die, installs the
 /// stream kernel (stream-load `SOA_STREAM_LEN` words from block 0 →
-/// six-stage ALU chain → stream-store back to block 0 past the inputs)
+/// six-stage ALU chain → stream-store into block 1 from offset
+/// `SOA_STREAM_LEN`)
 /// in each, fills block 0 through the mailbox, and activates +
 /// configures everything. The chain is deep enough that each lane's
 /// datapath state is a real working set — the regime the SoA layout is
@@ -654,9 +655,12 @@ fn soa_ready_chip(width: u16, lanes: usize, threads: usize) -> (VlsiChip, Vec<Pr
 
 /// FNV digest over every lane's report (taps and node firings sorted by
 /// object id) and the stored output words read back through the
-/// mailbox. Deactivates each processor to read its memory.
+/// mailbox. Deactivates each processor to read its memory. Panics if
+/// every stored word read back is zero — a digest of an empty read-back
+/// pins nothing.
 fn sweep_digest(chip: &mut VlsiChip, ids: &[ProcessorId], reports: &[ExecutionReport]) -> u64 {
     let mut text = String::new();
+    let mut stored_nonzero = false;
     for (i, (&id, r)) in ids.iter().zip(reports).enumerate() {
         let mut taps: Vec<(u32, &Vec<Word>)> = r.taps.iter().map(|(o, v)| (o.0, v)).collect();
         taps.sort_unstable_by_key(|(o, _)| *o);
@@ -669,11 +673,18 @@ fn sweep_digest(chip: &mut VlsiChip, ids: &[ProcessorId], reports: &[ExecutionRe
             r.cycles, r.firings, r.loads, r.stores, r.drained, r.release_tokens, r.release_order,
         );
         chip.deactivate(id).expect("deactivate for readback");
+        // The Store object is the second memory object installed, so it
+        // owns block 1 (block 0 holds the inputs).
         let out = chip
-            .read_mailbox(id, 0, SOA_STREAM_LEN, SOA_STREAM_LEN as usize)
+            .read_mailbox(id, 1, SOA_STREAM_LEN, SOA_STREAM_LEN as usize)
             .expect("read outputs");
+        stored_nonzero |= out.iter().any(|w| w.0 != 0);
         let _ = writeln!(text, "{i} out {out:?}");
     }
+    assert!(
+        stored_nonzero || ids.is_empty(),
+        "sweep digest hashed only zeros: the read-back missed the stored words"
+    );
     fnv1a(text.as_bytes())
 }
 

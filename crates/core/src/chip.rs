@@ -13,6 +13,7 @@ use crate::error::CoreError;
 use crate::region;
 use crate::scaled::{ProcessorId, ScaledProcessor};
 use crate::state::ProcState;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vlsi_ap::{AdaptiveProcessor, ConfigureOutcome, ExecutionReport, SoaLane};
@@ -22,7 +23,7 @@ use vlsi_par::Pool;
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::switch::RegionTag;
 use vlsi_topology::{
-    Cluster, ClusterGrid, Coord, Dir, FabricIndex, Region, SwitchFabric, SwitchState,
+    Cluster, ClusterGrid, Coord, Dir, FabricIndex, Region, RegionFinder, SwitchFabric, SwitchState,
 };
 
 /// How configuration data reaches the region's switches (§3.3 leaves the
@@ -104,6 +105,15 @@ pub struct VlsiChip {
     /// hash-ordered `HashSet<Coord>` of defects with a deterministic
     /// row-major slab.
     index: FabricIndex,
+    /// The free-space snapshot every placement probe shares
+    /// ([`Self::largest_gatherable`], [`Self::fragmentation`],
+    /// [`Self::gather_any`]), tagged with the [`FabricIndex::generation`]
+    /// it was swept at and rebuilt only when that has moved on.
+    free_space: RefCell<Option<(u64, RegionFinder)>>,
+    /// The occupancy generation and inactive-processor set of the last
+    /// [`Self::compact`] that moved nothing: asking again before either
+    /// changes would re-derive "everyone stays".
+    settled: Option<(u64, Vec<ProcessorId>)>,
     supervisor: Coord,
     next_id: u32,
     strategy: ConfigStrategy,
@@ -181,6 +191,8 @@ impl VlsiChip {
             noc: NocNetwork::with_telemetry(width, height, telemetry.clone()),
             processors: BTreeMap::new(),
             index: FabricIndex::new(width, height),
+            free_space: RefCell::new(None),
+            settled: None,
             supervisor: Coord::new(0, 0),
             next_id: 1,
             strategy: ConfigStrategy::default(),
@@ -309,14 +321,26 @@ impl VlsiChip {
         self.index.owner(c).map(|tag| ProcessorId(tag.0))
     }
 
+    /// Runs `probe` on the shared free-space snapshot, sweeping the
+    /// occupancy index first only if it changed since the last probe.
+    fn with_free_space<R>(&self, probe: impl FnOnce(&RegionFinder) -> R) -> R {
+        let mut slot = self.free_space.borrow_mut();
+        let generation = self.index.generation();
+        let finder = match slot.take() {
+            Some((swept_at, finder)) if swept_at == generation => finder,
+            _ => RegionFinder::new(&self.grid, |c| self.index.is_free(c)),
+        };
+        probe(&slot.insert((generation, finder)).1)
+    }
+
     /// The largest cluster count [`gather_any`](Self::gather_any) would
     /// currently succeed for — a read-only admission-control probe.
     /// Because the allocator places serpentine-prefix regions, fit is
-    /// monotone in the request size, so this is a binary search over one
-    /// shared [`RegionFinder`](vlsi_topology::RegionFinder) snapshot —
-    /// the occupancy sweep happens once, not once per probe.
+    /// monotone in the request size, so this is a binary search over the
+    /// shared [`RegionFinder`] snapshot — done once per occupancy
+    /// generation, not once per call.
     pub fn largest_gatherable(&self) -> usize {
-        vlsi_topology::RegionFinder::new(&self.grid, |c| self.index.is_free(c)).largest_fit()
+        self.with_free_space(RegionFinder::largest_fit)
     }
 
     // --- scaling -----------------------------------------------------------
@@ -514,27 +538,42 @@ impl VlsiChip {
     /// the defragmentation §5 says a mesh host must do by hand and the
     /// VLSI processor makes "manageable".
     ///
-    /// Returns the gather outcome of the new placement, or leaves the
-    /// processor exactly where it was if no better placement exists.
+    /// The allocator is asked over "free clusters plus this processor's
+    /// own healthy ones" before anything is released. A processor that
+    /// does not move is not re-programmed: when the answer is the region
+    /// it already holds, no worm is injected and the outcome reports
+    /// `worms: 0`, `switch_stores: 0` and the configuration latency the
+    /// region was programmed with (what re-programming it over an idle
+    /// NoC would measure again). Otherwise only this processor's
+    /// switches are released and re-programmed at the new site. A defect
+    /// under the region always makes the answer differ, so it always
+    /// moves (or fails typed when nowhere else fits).
     pub fn relocate(&mut self, id: ProcessorId) -> Result<GatherOutcome, CoreError> {
+        self.require_state(id, ProcState::Inactive)?;
         let p = self.processor(id)?;
-        if p.state != ProcState::Inactive {
-            return Err(CoreError::BadState {
+        let ring = p.ring;
+        let tag = RegionTag(id.0);
+        let found = vlsi_topology::alloc::find_region(&self.grid, p.region.len(), |c| {
+            self.index.is_free(c) || (self.index.owner(c) == Some(tag) && !self.is_defective(c))
+        });
+        let stays = match &found {
+            Some(region) => *region == p.region,
+            // None of the allocator's shapes fits anywhere: a healthy
+            // (hand-shaped) region is kept as it is.
+            None => !p.region.cells().any(|c| self.is_defective(c)),
+        };
+        if stays {
+            return Ok(GatherOutcome {
                 id,
-                current: p.state,
-                required: ProcState::Inactive,
+                worms: 0,
+                config_latency: p.config_latency,
+                switch_stores: 0,
             });
         }
-        let clusters = p.region.len();
-        let ring = p.ring;
         let old_region = p.region.clone();
-        let tag = RegionTag(id.0);
-        // Free the old switches so the allocator sees those clusters too.
+        let region = found.unwrap_or_else(|| old_region.clone());
         self.fabric.release_owner(tag);
         self.index.release_owner(tag);
-        let found =
-            vlsi_topology::alloc::find_region(&self.grid, clusters, |c| self.index.is_free(c));
-        let region = found.unwrap_or_else(|| old_region.clone());
         match self.program_region(&region, ring, id) {
             Ok((fold, outcome)) => {
                 self.telemetry.count("core.relocations", 1);
@@ -548,18 +587,20 @@ impl VlsiChip {
             }
             Err(e) => {
                 // Roll back to the original placement.
-                let (fold, outcome) = self.program_region(&old_region, ring, id)?;
+                let (fold, _) = self.program_region(&old_region, ring, id)?;
                 let p = self.processor_mut(id)?;
                 p.region = old_region;
                 p.fold = fold;
-                let _ = outcome;
                 Err(e)
             }
         }
     }
 
     /// Relocates every inactive processor (in ID order) to tighten the
-    /// free space. Returns how many processors moved.
+    /// free space. Returns how many processors moved. When the previous
+    /// compaction moved nothing and neither the occupancy nor the set of
+    /// inactive processors has changed since, every answer would be
+    /// "stay" again: the call is counted and returns 0 without asking.
     pub fn compact(&mut self) -> usize {
         let ids: Vec<ProcessorId> = self
             .processors
@@ -567,18 +608,19 @@ impl VlsiChip {
             .filter(|p| p.state == ProcState::Inactive)
             .map(|p| p.id)
             .collect();
-        let mut moved = 0;
-        for id in ids {
-            let before = self.processor(id).map(|p| p.region.clone()).ok();
-            if self.relocate(id).is_ok() {
-                if let (Ok(p), Some(b)) = (self.processor(id), before) {
-                    if p.region != b {
-                        moved += 1;
-                    }
-                }
-            }
-        }
         self.telemetry.count("core.compactions", 1);
+        let generation = self.index.generation();
+        if matches!(&self.settled, Some((at, who)) if *at == generation && *who == ids) {
+            return 0;
+        }
+        let moved = ids
+            .iter()
+            .filter(|&&id| self.relocate(id).is_ok_and(|outcome| outcome.worms > 0))
+            .count();
+        // A failed relocation releases and re-programs, so the generation
+        // has moved on and the pass does not count as settled.
+        self.settled =
+            (moved == 0 && self.index.generation() == generation).then_some((generation, ids));
         moved
     }
 
@@ -587,7 +629,7 @@ impl VlsiChip {
     /// serpentine-prefix region of `clusters` clusters and gathers it.
     pub fn gather_any(&mut self, clusters: usize) -> Result<GatherOutcome, CoreError> {
         let region =
-            vlsi_topology::alloc::find_region(&self.grid, clusters, |c| self.index.is_free(c))
+            self.with_free_space(|free| free.find(clusters))
                 .ok_or(CoreError::Topology(
                     vlsi_topology::TopologyError::NoLinearPath,
                 ))?;
@@ -597,7 +639,7 @@ impl VlsiChip {
     /// Free-space fragmentation in `[0, 1]` (0 = one request can take all
     /// free clusters).
     pub fn fragmentation(&self) -> f64 {
-        vlsi_topology::alloc::fragmentation(&self.grid, |c| self.index.is_free(c))
+        self.with_free_space(RegionFinder::fragmentation)
     }
 
     /// Releases a processor (must be inactive): every switch it owns
@@ -1602,5 +1644,256 @@ mod tests {
             .unwrap();
         assert!(big.config_latency > small.config_latency);
         assert!(big.switch_stores > small.switch_stores);
+    }
+
+    // --- relocation: a processor that does not move is not re-programmed ----
+
+    /// The always-release-and-re-program placement path `relocate` and
+    /// `compact` replaced, kept as the reference the early return must
+    /// be indistinguishable from.
+    impl VlsiChip {
+        fn relocate_reprogramming(&mut self, id: ProcessorId) -> Result<GatherOutcome, CoreError> {
+            self.require_state(id, ProcState::Inactive)?;
+            let p = self.processor(id)?;
+            let (ring, old_region) = (p.ring, p.region.clone());
+            let tag = RegionTag(id.0);
+            self.fabric.release_owner(tag);
+            self.index.release_owner(tag);
+            let found = vlsi_topology::alloc::find_region(&self.grid, old_region.len(), |c| {
+                self.index.is_free(c)
+            });
+            let region = found.unwrap_or_else(|| old_region.clone());
+            match self.program_region(&region, ring, id) {
+                Ok((fold, outcome)) => {
+                    let p = self.processor_mut(id)?;
+                    p.region = region;
+                    p.fold = fold;
+                    p.config_latency = outcome.config_latency;
+                    Ok(outcome)
+                }
+                Err(e) => {
+                    let (fold, _) = self.program_region(&old_region, ring, id)?;
+                    let p = self.processor_mut(id)?;
+                    p.region = old_region;
+                    p.fold = fold;
+                    Err(e)
+                }
+            }
+        }
+
+        fn compact_reprogramming(&mut self) -> usize {
+            let ids: Vec<ProcessorId> = self
+                .processors()
+                .filter(|p| p.state == ProcState::Inactive)
+                .map(|p| p.id)
+                .collect();
+            let mut moved = 0;
+            for id in ids {
+                let before = self.processor(id).unwrap().region.clone();
+                if self.relocate_reprogramming(id).is_ok()
+                    && self.processor(id).unwrap().region != before
+                {
+                    moved += 1;
+                }
+            }
+            moved
+        }
+
+        /// Everything placement decides or programs, as text: per
+        /// processor its state, region, fold, chain links, configuration
+        /// latency and mailbox word; per cluster its owner (index and
+        /// fabric views), defect flag and switch registers.
+        fn placement_image(&self) -> String {
+            use std::fmt::Write;
+            let mut out = format!("free {}\n", self.free_clusters());
+            for p in self.processors() {
+                let chained: Vec<bool> = p
+                    .fold
+                    .path()
+                    .windows(2)
+                    .map(|w| self.fabric.is_chained(w[0], w[1]))
+                    .collect();
+                let mailbox = p.ap.memory(0).map(|m| m.peek(0));
+                writeln!(
+                    out,
+                    "{} {:?} ring {} latency {} region {:?} fold {:?} chained {chained:?} \
+                     mailbox {mailbox:?}",
+                    p.id,
+                    p.state,
+                    p.ring,
+                    p.config_latency,
+                    p.region,
+                    p.fold.path(),
+                )
+                .unwrap();
+            }
+            for y in 0..self.grid.height() {
+                for x in 0..self.grid.width() {
+                    let c = Coord::new(x, y);
+                    writeln!(
+                        out,
+                        "{c} owner {:?}/{:?} defect {} switch {:?}",
+                        self.index.owner(c),
+                        self.fabric.owner(c),
+                        self.is_defective(c),
+                        self.fabric.state(c),
+                    )
+                    .unwrap();
+                }
+            }
+            out
+        }
+    }
+
+    /// One step of a random placement history, decoded from `(op, a, b)`.
+    /// `relocate`/`compact` select the path under test; returns what the
+    /// step decided (gathered id, relocation verdict, moved count).
+    fn placement_step(
+        chip: &mut VlsiChip,
+        live: &mut Vec<ProcessorId>,
+        (op, a, b): (u8, u16, u16),
+        relocate: fn(&mut VlsiChip, ProcessorId) -> Result<GatherOutcome, CoreError>,
+        compact: fn(&mut VlsiChip) -> usize,
+    ) -> String {
+        let side = chip.grid().width();
+        let pick = |live: &Vec<ProcessorId>| live.get(usize::from(a) % live.len().max(1)).copied();
+        match op {
+            0..=2 => match chip.gather_any(1 + usize::from(a * 16 + b) % 12) {
+                Ok(out) => {
+                    chip.write_mailbox(out.id, 0, 0, &[Word(0xA000 + u64::from(out.id.0))])
+                        .unwrap();
+                    live.push(out.id);
+                    format!("gathered {} latency {}", out.id, out.config_latency)
+                }
+                Err(e) => format!("gather failed: {e}"),
+            },
+            3 => match pick(live) {
+                Some(id) => {
+                    let _ = chip.deactivate(id);
+                    chip.release_processor(id).unwrap();
+                    live.retain(|l| *l != id);
+                    format!("released {id}")
+                }
+                None => String::new(),
+            },
+            4 => {
+                let c = Coord::new(a % side, b % side);
+                if b % 2 == 0 {
+                    chip.mark_defective(c);
+                } else {
+                    chip.mark_switch_stuck(c);
+                }
+                format!("defect at {c}")
+            }
+            5 => match pick(live) {
+                Some(id) if chip.activate(id).is_err() => format!("{:?}", chip.deactivate(id)),
+                _ => String::new(),
+            },
+            6 => match pick(live) {
+                Some(id) => match relocate(chip, id) {
+                    Ok(out) => format!("relocated {id} latency {}", out.config_latency),
+                    Err(e) => format!("relocate {id} failed: {e}"),
+                },
+                None => String::new(),
+            },
+            _ => format!("compacted, moved {}", compact(chip)),
+        }
+    }
+
+    fn placement_ops() -> impl proptest::Strategy<Value = Vec<(u8, u16, u16)>> {
+        proptest::prop::collection::vec((0u8..8, 0u16..16, 0u16..16), 1..48)
+    }
+
+    proptest::proptest! {
+        /// Random gather/release/defect/activate histories with
+        /// relocations and compactions in between: the chip that skips
+        /// re-programming processors that stay put ends every step — and
+        /// the closing `compact()` — in exactly the state, with exactly
+        /// the verdicts, of the chip that releases and re-programs
+        /// everything.
+        #[test]
+        fn relocation_matches_the_always_reprogram_reference(
+            side in 8u16..=16,
+            ops in placement_ops(),
+        ) {
+            let mut subject = VlsiChip::new(side, side, Cluster::default());
+            let mut reference = VlsiChip::new(side, side, Cluster::default());
+            let (mut live_s, mut live_r) = (Vec::new(), Vec::new());
+            for op in ops.into_iter().chain([(7, 0, 0), (7, 0, 0)]) {
+                let did = placement_step(
+                    &mut subject,
+                    &mut live_s,
+                    op,
+                    VlsiChip::relocate,
+                    VlsiChip::compact,
+                );
+                let expect = placement_step(
+                    &mut reference,
+                    &mut live_r,
+                    op,
+                    VlsiChip::relocate_reprogramming,
+                    VlsiChip::compact_reprogramming,
+                );
+                proptest::prop_assert_eq!(did, expect, "op {:?}", op);
+                proptest::prop_assert_eq!(
+                    subject.placement_image(),
+                    reference.placement_image(),
+                    "after op {:?}",
+                    op
+                );
+            }
+        }
+
+        /// After every mutation of the same histories, the cached probes
+        /// answer what a finder swept from scratch answers.
+        #[test]
+        fn free_space_cache_matches_a_fresh_finder(
+            side in 8u16..=16,
+            ops in placement_ops(),
+        ) {
+            let mut chip = VlsiChip::new(side, side, Cluster::default());
+            let mut live = Vec::new();
+            for op in ops {
+                placement_step(&mut chip, &mut live, op, VlsiChip::relocate, VlsiChip::compact);
+                let fresh = RegionFinder::new(chip.grid(), |c| {
+                    chip.processor_at(c).is_none() && !chip.is_defective(c)
+                });
+                proptest::prop_assert_eq!(chip.largest_gatherable(), fresh.largest_fit());
+                proptest::prop_assert_eq!(chip.fragmentation(), fresh.fragmentation());
+                proptest::prop_assert_eq!(chip.free_clusters(), fresh.free_total());
+            }
+        }
+    }
+
+    #[test]
+    fn a_processor_at_its_preferred_spot_is_not_reprogrammed() {
+        let mut c = chip();
+        let id = c.gather_any(6).unwrap().id;
+        let latency = c.processor(id).unwrap().config_latency;
+        let before = c.metrics();
+        let out = c.relocate(id).unwrap();
+        assert_eq!((out.worms, out.switch_stores), (0, 0));
+        assert_eq!(out.config_latency, latency, "latency kept");
+        let after = c.metrics();
+        assert_eq!(after.switch_stores, before.switch_stores);
+        assert_eq!(after.noc_worms_delivered, before.noc_worms_delivered);
+        assert_eq!(after.noc_cycles, before.noc_cycles, "the NoC never ran");
+        assert_eq!(c.compact(), 0);
+        assert_eq!(c.metrics(), after, "compaction of a settled die is free");
+    }
+
+    #[test]
+    fn a_defect_under_the_preferred_region_forces_the_move() {
+        let mut c = chip();
+        let id = c.gather_any(4).unwrap().id;
+        let old = c.processor(id).unwrap().region.clone();
+        assert_eq!(c.relocate(id).unwrap().worms, 0, "preferred spot: stays");
+        c.mark_defective(Coord::new(1, 1));
+        let out = c.relocate(id).unwrap();
+        assert_eq!(out.worms, 4, "every cluster of the new site is programmed");
+        let p = c.processor(id).unwrap();
+        assert_ne!(p.region, old);
+        assert!(!p.region.contains(Coord::new(1, 1)));
+        assert_eq!(c.processor_at(Coord::new(0, 0)), None, "old site released");
     }
 }

@@ -20,6 +20,7 @@
 use crate::chip::VlsiChip;
 use crate::error::CoreError;
 use crate::scaled::ProcessorId;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vlsi_object::{GlobalConfigStream, LogicalObject, ObjectId, Word};
@@ -136,20 +137,22 @@ pub struct PipelineRunStats {
 }
 
 /// A deployed staged program: one processor per stage.
+///
+/// `P` is how the executor holds the program: owned by default, or any
+/// other [`Borrow<StagedProgram>`] — a scheduler that retries one queued
+/// program many times deploys it by `&StagedProgram` (or `Arc`) and
+/// copies nothing per attempt.
 #[derive(Debug)]
-pub struct StagedExecutor {
-    program: StagedProgram,
+pub struct StagedExecutor<P = StagedProgram> {
+    program: P,
     procs: Vec<ProcessorId>,
 }
 
-impl StagedExecutor {
+impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
     /// Deploys `program` wherever the allocator finds free clusters
     /// (one `gather_any` per stage). On failure, every processor
     /// gathered so far is released — the chip is left as found.
-    pub fn deploy(
-        chip: &mut VlsiChip,
-        program: StagedProgram,
-    ) -> Result<StagedExecutor, CoreError> {
+    pub fn deploy(chip: &mut VlsiChip, program: P) -> Result<StagedExecutor<P>, CoreError> {
         Self::deploy_with(chip, program, |chip, stage, _| {
             chip.gather_any(stage.clusters).map(|o| o.id)
         })
@@ -160,10 +163,11 @@ impl StagedExecutor {
     /// processor gathered so far is released.
     pub fn deploy_placed(
         chip: &mut VlsiChip,
-        program: StagedProgram,
+        program: P,
         regions: &[Region],
-    ) -> Result<StagedExecutor, CoreError> {
-        assert_eq!(regions.len(), program.stages.len(), "one region per stage");
+    ) -> Result<StagedExecutor<P>, CoreError> {
+        let stages = program.borrow().stages.len();
+        assert_eq!(regions.len(), stages, "one region per stage");
         Self::deploy_with(chip, program, |chip, _, i| {
             chip.gather(regions[i].clone()).map(|o| o.id)
         })
@@ -171,11 +175,12 @@ impl StagedExecutor {
 
     fn deploy_with(
         chip: &mut VlsiChip,
-        program: StagedProgram,
+        program: P,
         mut gather: impl FnMut(&mut VlsiChip, &StagedStage, usize) -> Result<ProcessorId, CoreError>,
-    ) -> Result<StagedExecutor, CoreError> {
-        let mut procs = Vec::with_capacity(program.stages.len());
-        for (i, stage) in program.stages.iter().enumerate() {
+    ) -> Result<StagedExecutor<P>, CoreError> {
+        let stages = &program.borrow().stages;
+        let mut procs = Vec::with_capacity(stages.len());
+        for (i, stage) in stages.iter().enumerate() {
             let step = gather(chip, stage, i)
                 .and_then(|id| chip.install(id, stage.objects.clone()).map(|_| id));
             match step {
@@ -193,7 +198,7 @@ impl StagedExecutor {
 
     /// The program's dependency levels (see [`StagedProgram::levels`]).
     fn levels(&self) -> Vec<Vec<usize>> {
-        self.program.levels()
+        self.program().levels()
     }
 
     /// Runs the program for one input environment. Returns the program
@@ -216,7 +221,7 @@ impl StagedExecutor {
         let mut stats = StagedRunStats::default();
         for level in self.levels() {
             for &j in &level {
-                let stage = &self.program.stages[j];
+                let stage = &self.program().stages[j];
                 let proc = self.procs[j];
                 for (var, mem_block) in &stage.inputs {
                     let v = env.get(var).copied().unwrap_or(0);
@@ -230,7 +235,7 @@ impl StagedExecutor {
             let ids: Vec<ProcessorId> = level.iter().map(|&j| self.procs[j]).collect();
             let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
             for (&j, report) in level.iter().zip(&reports) {
-                let stage = &self.program.stages[j];
+                let stage = &self.program().stages[j];
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
                 for (var, tap) in &stage.outputs {
@@ -254,7 +259,7 @@ impl StagedExecutor {
     /// [`StagedProgram::outputs`] order (absent values read as 0,
     /// matching the mailbox default).
     fn outputs_from(&self, env: &HashMap<String, i64>) -> Vec<i64> {
-        self.program
+        self.program()
             .outputs
             .iter()
             .map(|(_, var)| env.get(var).copied().unwrap_or(0))
@@ -323,8 +328,8 @@ impl StagedExecutor {
         }
         let ticks = depth + n - 1;
         stats.ticks = ticks as u64;
-        let mut configured = vec![false; self.program.stages.len()];
-        let mut busy_ticks = vec![0u64; self.program.stages.len()];
+        let mut configured = vec![false; self.program().stages.len()];
+        let mut busy_ticks = vec![0u64; self.program().stages.len()];
         // In-flight (stage, dataset) slots, rebuilt each tick in
         // ascending (level, stage) order — the deterministic drain order.
         let mut active: Vec<(usize, usize)> = Vec::new();
@@ -337,7 +342,7 @@ impl StagedExecutor {
                 }
                 let d = t - l;
                 for &j in level {
-                    let stage = &self.program.stages[j];
+                    let stage = &self.program().stages[j];
                     let proc = self.procs[j];
                     for (var, mem_block) in &stage.inputs {
                         let v = envs[d].get(var).copied().unwrap_or(0);
@@ -357,7 +362,7 @@ impl StagedExecutor {
             ids.extend(active.iter().map(|&(j, _)| self.procs[j]));
             let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
             for (&(j, d), report) in active.iter().zip(&reports) {
-                let stage = &self.program.stages[j];
+                let stage = &self.program().stages[j];
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
                 busy_ticks[j] += 1;
@@ -375,7 +380,7 @@ impl StagedExecutor {
                 chip.deactivate(self.procs[j])?;
             }
         }
-        let slots = stats.ticks * self.program.stages.len() as u64;
+        let slots = stats.ticks * self.program().stages.len() as u64;
         let busy: u64 = busy_ticks.iter().sum();
         stats.utilization_milli = (busy * 1000).checked_div(slots).unwrap_or(0);
         let tel = chip.telemetry();
@@ -395,7 +400,7 @@ impl StagedExecutor {
 
     /// The deployed program.
     pub fn program(&self) -> &StagedProgram {
-        &self.program
+        self.program.borrow()
     }
 
     /// The processors holding the stages, in stage order.

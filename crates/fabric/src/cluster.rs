@@ -97,10 +97,11 @@ struct GlobalJob {
     migrations: u32,
 }
 
-/// A checkpoint riding the fabric.
+/// A checkpoint riding the fabric. The spec is the source chip's own
+/// allocation: a migration moves a pointer, not the job's payload.
 struct Ticket {
     gid: u64,
-    spec: JobSpec,
+    spec: Arc<JobSpec>,
     dst: usize,
 }
 
@@ -428,7 +429,7 @@ impl Cluster {
     /// from the lowest-index live chip (where the controller keeps its
     /// replicas). Marks the job lost, typed, when no live chip can ever
     /// hold it.
-    fn relocate(&mut self, gid: u64, spec: JobSpec) {
+    fn relocate(&mut self, gid: u64, spec: Arc<JobSpec>) {
         let Some(target) = self.pick_chip(spec.clusters) else {
             self.jobs[gid as usize].placement = Placement::Lost("no capacity");
             self.lost.push((GlobalJobId(gid), "no capacity"));
@@ -456,14 +457,14 @@ impl Cluster {
     }
 
     /// Submits `spec` on `chip` and updates the global index.
-    fn place(&mut self, gid: u64, chip: usize, spec: JobSpec) {
+    fn place(&mut self, gid: u64, chip: usize, spec: Arc<JobSpec>) {
         let local = self.fleet.chip_mut(chip).submit(spec);
         self.jobs[gid as usize].placement = Placement::OnChip(chip, local);
         self.index.insert((chip, local.0), gid);
     }
 
     /// Puts `gid`'s checkpoint on the wire from `src` to `dst`.
-    fn ship(&mut self, gid: u64, src: usize, dst: usize, spec: JobSpec) {
+    fn ship(&mut self, gid: u64, src: usize, dst: usize, spec: Arc<JobSpec>) {
         let words = (self.config.checkpoint_words + spec.clusters / 16).max(1);
         let payload: Vec<u64> = std::iter::repeat_n(gid, words).collect();
         let mesh_port = |c: usize| {

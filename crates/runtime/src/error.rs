@@ -40,6 +40,9 @@ pub enum RuntimeError {
         job: JobId,
         /// What went wrong.
         detail: String,
+        /// The chip-layer error behind it, when there is one (also
+        /// [`std::error::Error::source`]).
+        source: Option<CoreError>,
     },
     /// No such job.
     UnknownJob(JobId),
@@ -73,7 +76,9 @@ impl fmt::Display for RuntimeError {
                 deadline,
                 finished,
             } => write!(f, "{job}: deadline {deadline} missed (finished {finished})"),
-            RuntimeError::Workload { job, detail } => write!(f, "{job}: workload error: {detail}"),
+            RuntimeError::Workload { job, detail, .. } => {
+                write!(f, "{job}: workload error: {detail}")
+            }
             RuntimeError::UnknownJob(job) => write!(f, "unknown job {job}"),
             RuntimeError::Hung { ticks, outstanding } => write!(
                 f,
@@ -84,7 +89,17 @@ impl fmt::Display for RuntimeError {
     }
 }
 
-impl std::error::Error for RuntimeError {}
+impl std::error::Error for RuntimeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RuntimeError::Workload {
+                source: Some(e), ..
+            }
+            | RuntimeError::Core(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<CoreError> for RuntimeError {
     fn from(e: CoreError) -> RuntimeError {
@@ -93,6 +108,26 @@ impl From<CoreError> for RuntimeError {
 }
 
 impl RuntimeError {
+    /// A workload failure with no lower-layer cause (bad request,
+    /// reference mismatch).
+    pub(crate) fn workload(job: JobId, detail: String) -> RuntimeError {
+        RuntimeError::Workload {
+            job,
+            detail,
+            source: None,
+        }
+    }
+
+    /// A workload failure caused by a chip-layer error: the text is the
+    /// cause's, and the cause itself rides along typed.
+    pub(crate) fn workload_from(job: JobId, cause: CoreError) -> RuntimeError {
+        RuntimeError::Workload {
+            job,
+            detail: cause.to_string(),
+            source: Some(cause),
+        }
+    }
+
     /// The short label used in [`EventKind::Failed`].
     ///
     /// [`EventKind::Failed`]: crate::EventKind::Failed
@@ -106,5 +141,32 @@ impl RuntimeError {
             RuntimeError::Hung { .. } => "hung",
             RuntimeError::Core(_) => "core",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::error::Error;
+
+    #[test]
+    fn workload_failures_carry_their_chip_cause_typed() {
+        let cause = CoreError::CannotFuse;
+        let err = RuntimeError::workload_from(JobId(3), cause.clone());
+        // Text and label are what the stringly version produced.
+        assert_eq!(err.to_string(), format!("job3: workload error: {cause}"));
+        assert_eq!(err.reason(), "workload");
+        let source = err.source().expect("a chip cause is a source");
+        assert_eq!(source.downcast_ref::<CoreError>(), Some(&cause));
+        // A reference mismatch has no lower-layer cause.
+        let plain = RuntimeError::workload(JobId(3), "output mismatch".into());
+        assert!(plain.source().is_none());
+        assert_eq!(plain.reason(), "workload");
+        // The unrecoverable chip error exposes its cause the same way.
+        let core = RuntimeError::Core(cause.clone());
+        assert_eq!(
+            core.source().and_then(|s| s.downcast_ref::<CoreError>()),
+            Some(&cause)
+        );
     }
 }

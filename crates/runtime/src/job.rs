@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use vlsi_core::{ProcessorId, StagedProgram};
 use vlsi_workloads::{Program, StreamKernel};
 
@@ -255,8 +256,10 @@ pub struct JobStats {
 pub struct JobRecord {
     /// The job's ID.
     pub id: JobId,
-    /// The submission, as given.
-    pub spec: JobSpec,
+    /// The submission, as given — shared, not copied: admission retries,
+    /// completion and migration to another chip all hold this one
+    /// allocation (program, datasets and references included).
+    pub spec: Arc<JobSpec>,
     /// Current lifecycle state.
     pub state: JobState,
     /// Processors currently held (one for stream/idle; one per block for

@@ -13,9 +13,12 @@
 //! [`submit`]: Runtime::submit
 //! [`tick`]: Runtime::tick
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
-use vlsi_core::{BlockExecutor, CoreError, ProcState, ProcessorId, VlsiChip};
+use vlsi_core::{
+    BlockExecutor, CoreError, ProcState, ProcessorId, StagedExecutor, StagedProgram, VlsiChip,
+};
 use vlsi_faults::{Fault, FaultKind, FaultPlan};
 use vlsi_object::Word;
 use vlsi_telemetry::TelemetryHandle;
@@ -187,8 +190,10 @@ impl Runtime {
 
     /// Submits a job. Returns its ID; a request that can never fit (or is
     /// empty) is failed immediately and gracefully — check
-    /// [`JobRecord::failure`].
-    pub fn submit(&mut self, spec: JobSpec) -> JobId {
+    /// [`JobRecord::failure`]. A spec that is already shared (a job
+    /// migrating in from another chip) is taken by pointer.
+    pub fn submit(&mut self, spec: impl Into<Arc<JobSpec>>) -> JobId {
+        let spec: Arc<JobSpec> = spec.into();
         let id = JobId(self.next_job);
         self.next_job += 1;
         self.stats.submitted += 1;
@@ -219,10 +224,7 @@ impl Runtime {
         if clusters == 0 {
             self.fail_job(
                 id,
-                RuntimeError::Workload {
-                    job: id,
-                    detail: "job requests zero clusters".into(),
-                },
+                RuntimeError::workload(id, "job requests zero clusters".into()),
             );
         } else if clusters > capacity {
             self.fail_job(
@@ -468,8 +470,8 @@ impl Runtime {
     /// region; if no placement exists, the job re-queues for a fresh
     /// gather.
     fn recover_job(&mut self, job_id: JobId, pid: ProcessorId) -> Result<(), RuntimeError> {
-        let workload = self.jobs[&job_id].spec.workload.clone();
-        match workload {
+        let spec = Arc::clone(&self.jobs[&job_id].spec);
+        match &spec.workload {
             Workload::Stream { kernel, input, .. } => {
                 self.chip.deactivate(pid)?;
                 match self.chip.relocate(pid) {
@@ -477,7 +479,7 @@ impl Runtime {
                         // The datapath was mid-stream; restart it from
                         // scratch on the relocated region.
                         self.chip.recycle_processor(pid)?;
-                        match self.run_stream_on(pid, &kernel, &input) {
+                        match self.run_stream_on(pid, kernel, input) {
                             Ok((cfg, exec)) => {
                                 let dur = self.to_ticks(outcome.config_latency + cfg + exec);
                                 let rec = self.jobs.get_mut(&job_id).expect("running job");
@@ -496,6 +498,7 @@ impl Runtime {
                                     RuntimeError::Workload {
                                         job: job_id,
                                         detail: format!("restart after defect: {e}"),
+                                        source: Some(e),
                                     },
                                 );
                             }
@@ -577,8 +580,8 @@ impl Runtime {
     // --- completion ----------------------------------------------------------
 
     fn complete_job(&mut self, job_id: JobId) -> Result<(), RuntimeError> {
-        let workload = self.jobs[&job_id].spec.workload.clone();
-        let output = match workload {
+        let spec = Arc::clone(&self.jobs[&job_id].spec);
+        let output = match &spec.workload {
             Workload::Stream {
                 kernel, expected, ..
             } => {
@@ -589,16 +592,16 @@ impl Runtime {
                     .read_mailbox(pid, 1, 0, kernel.output_len as usize)?;
                 let got: Vec<u64> = words.iter().map(|w| w.as_u64()).collect();
                 if let Some(exp) = expected {
-                    if got != exp {
+                    if got != *exp {
                         self.fail_job(
                             job_id,
-                            RuntimeError::Workload {
-                                job: job_id,
-                                detail: format!(
+                            RuntimeError::workload(
+                                job_id,
+                                format!(
                                     "{}: output mismatch (got {got:?}, expected {exp:?})",
                                     kernel.name
                                 ),
-                            },
+                            ),
                         );
                         return Ok(());
                     }
@@ -715,12 +718,12 @@ impl Runtime {
     // --- migration -----------------------------------------------------------
 
     /// Withdraws a *queued* job for a cluster scheduler to run elsewhere
-    /// (work stealing). Returns the spec to resubmit on the target chip,
-    /// or `None` if the job is unknown or not currently queued. The
-    /// local record stays behind in [`JobState::Migrated`] — it is not a
-    /// completion and not a failure, so per-chip totals never double
-    /// count a stolen job.
-    pub fn withdraw(&mut self, id: JobId) -> Option<JobSpec> {
+    /// (work stealing). Returns the (shared) spec to resubmit on the
+    /// target chip, or `None` if the job is unknown or not currently
+    /// queued. The local record stays behind in [`JobState::Migrated`] —
+    /// it is not a completion and not a failure, so per-chip totals never
+    /// double count a stolen job.
+    pub fn withdraw(&mut self, id: JobId) -> Option<Arc<JobSpec>> {
         let rec = self.jobs.get(&id)?;
         if rec.state != JobState::Queued {
             return None;
@@ -729,7 +732,7 @@ impl Runtime {
         let now = self.now;
         let rec = self.jobs.get_mut(&id).expect("queued job");
         rec.state = JobState::Migrated;
-        let spec = rec.spec.clone();
+        let spec = Arc::clone(&rec.spec);
         self.stats.migrated_out += 1;
         self.telemetry.count("runtime.migrated_out", 1);
         self.telemetry.span_end("runtime", "job", id.0, now);
@@ -745,7 +748,7 @@ impl Runtime {
     /// state, because there is no chip left to talk to. Running jobs
     /// restart from their spec on whatever chip they land on. Returns
     /// the evacuated jobs in ascending [`JobId`] order.
-    pub fn evacuate(&mut self) -> Vec<(JobId, JobSpec)> {
+    pub fn evacuate(&mut self) -> Vec<(JobId, Arc<JobSpec>)> {
         let mut ids: Vec<JobId> = self
             .queue
             .iter()
@@ -762,7 +765,7 @@ impl Runtime {
             let rec = self.jobs.get_mut(&id).expect("outstanding job");
             rec.state = JobState::Migrated;
             rec.procs.clear();
-            specs.push((id, rec.spec.clone()));
+            specs.push((id, Arc::clone(&rec.spec)));
             self.stats.migrated_out += 1;
             self.telemetry.count("runtime.migrated_out", 1);
             self.telemetry.span_end("runtime", "job", id.0, now);
@@ -804,12 +807,14 @@ impl Runtime {
             rec.stats.attempts += 1;
             rec.stats.attempts
         };
-        let workload = self.jobs[&job_id].spec.workload.clone();
-        match workload {
+        // Every attempt works on the queued spec itself: a retry copies a
+        // pointer, never the program, datasets or references.
+        let spec = Arc::clone(&self.jobs[&job_id].spec);
+        match &spec.workload {
             Workload::Stream { kernel, input, .. } => {
                 self.admit_single(job_id, clusters, attempts, Some((kernel, input)), 0)
             }
-            Workload::Idle { ticks } => self.admit_single(job_id, clusters, attempts, None, ticks),
+            Workload::Idle { ticks } => self.admit_single(job_id, clusters, attempts, None, *ticks),
             Workload::Blocks {
                 program,
                 datasets,
@@ -819,7 +824,14 @@ impl Runtime {
                 program,
                 datasets,
                 expected,
-            } => self.admit_staged(job_id, clusters, attempts, program, datasets, expected),
+            } => self.admit_staged(
+                job_id,
+                clusters,
+                attempts,
+                program,
+                datasets,
+                expected.as_deref(),
+            ),
         }
     }
 
@@ -874,7 +886,7 @@ impl Runtime {
         job_id: JobId,
         clusters: usize,
         attempts: u32,
-        stream: Option<(StreamKernel, Vec<u64>)>,
+        stream: Option<(&StreamKernel, &[u64])>,
         idle_ticks: u64,
     ) -> Result<(), RuntimeError> {
         // Warm pool first: an exact-size parked region skips the gather
@@ -908,7 +920,7 @@ impl Runtime {
             return Ok(());
         };
 
-        let (cfg_cycles, exec_cycles, duration) = match &stream {
+        let (cfg_cycles, exec_cycles, duration) = match stream {
             Some((kernel, input)) => match self.run_stream_on(pid, kernel, input) {
                 Ok((cfg, exec)) => {
                     let dur = self.to_ticks(latency + cfg + exec);
@@ -919,13 +931,7 @@ impl Runtime {
                         self.chip.deactivate(pid)?;
                     }
                     self.chip.release_processor(pid)?;
-                    self.fail_job(
-                        job_id,
-                        RuntimeError::Workload {
-                            job: job_id,
-                            detail: e.to_string(),
-                        },
-                    );
+                    self.fail_job(job_id, RuntimeError::workload_from(job_id, e));
                     return Ok(());
                 }
             },
@@ -951,13 +957,13 @@ impl Runtime {
         job_id: JobId,
         clusters: usize,
         attempts: u32,
-        program: vlsi_workloads::Program,
-        datasets: Vec<std::collections::HashMap<String, i64>>,
-        result_var: String,
+        program: &vlsi_workloads::Program,
+        datasets: &[HashMap<String, i64>],
+        result_var: &str,
     ) -> Result<(), RuntimeError> {
-        let mut exec = match self.deploy_blocks(&program) {
+        let mut exec = match self.deploy_blocks(program) {
             Some(e) => Some(e),
-            None if self.compact_for(clusters) => self.deploy_blocks(&program),
+            None if self.compact_for(clusters) => self.deploy_blocks(program),
             None => None,
         };
         let Some(exec) = exec.take() else {
@@ -971,20 +977,14 @@ impl Runtime {
         let mut outs = Vec::with_capacity(datasets.len());
         let mut cfg_total = 0u64;
         let mut exec_total = 0u64;
-        for ds in &datasets {
+        for ds in datasets {
             // Run on the chip and check against the program interpreter —
             // the blocks-level analogue of the stream reference check.
             let (env, run) = match exec.run(&mut self.chip, ds) {
                 Ok(r) => r,
                 Err(e) => {
                     self.release_all(&procs)?;
-                    self.fail_job(
-                        job_id,
-                        RuntimeError::Workload {
-                            job: job_id,
-                            detail: e.to_string(),
-                        },
-                    );
+                    self.fail_job(job_id, RuntimeError::workload_from(job_id, e));
                     return Ok(());
                 }
             };
@@ -992,18 +992,18 @@ impl Runtime {
             exec_total += run.exec_cycles;
             let mut reference = ds.clone();
             program.interpret(&mut reference);
-            let got = env.get(&result_var).copied();
-            let expect = reference.get(&result_var).copied();
+            let got = env.get(result_var).copied();
+            let expect = reference.get(result_var).copied();
             if got.is_none() || got != expect {
                 self.release_all(&procs)?;
                 self.fail_job(
                     job_id,
-                    RuntimeError::Workload {
-                        job: job_id,
-                        detail: format!(
+                    RuntimeError::workload(
+                        job_id,
+                        format!(
                             "blocks result `{result_var}` = {got:?}, interpreter says {expect:?}"
                         ),
-                    },
+                    ),
                 );
                 return Ok(());
             }
@@ -1038,13 +1038,17 @@ impl Runtime {
         job_id: JobId,
         clusters: usize,
         attempts: u32,
-        program: vlsi_core::StagedProgram,
-        datasets: Vec<std::collections::HashMap<String, i64>>,
-        expected: Option<Vec<Vec<i64>>>,
+        program: &StagedProgram,
+        datasets: &[HashMap<String, i64>],
+        expected: Option<&[Vec<i64>]>,
     ) -> Result<(), RuntimeError> {
-        let mut exec = match self.deploy_staged(&program) {
+        // Deployed by reference: the executor borrows the queued program
+        // (the deploy rolls back its own partial gathers on failure).
+        let mut exec = match StagedExecutor::deploy(&mut self.chip, program).ok() {
             Some(e) => Some(e),
-            None if self.compact_for(clusters) => self.deploy_staged(&program),
+            None if self.compact_for(clusters) => {
+                StagedExecutor::deploy(&mut self.chip, program).ok()
+            }
             None => None,
         };
         let Some(exec) = exec.take() else {
@@ -1058,17 +1062,11 @@ impl Runtime {
         // datasets while new ones enter stage 0, and each stage's
         // datapath is configured once and stays resident. Outputs are
         // bit-identical to the old per-dataset `run` loop.
-        let (outs, run) = match exec.run_pipelined(&mut self.chip, &datasets) {
+        let (outs, run) = match exec.run_pipelined(&mut self.chip, datasets) {
             Ok(r) => r,
             Err(e) => {
                 self.release_all(&procs)?;
-                self.fail_job(
-                    job_id,
-                    RuntimeError::Workload {
-                        job: job_id,
-                        detail: e.to_string(),
-                    },
-                );
+                self.fail_job(job_id, RuntimeError::workload_from(job_id, e));
                 return Ok(());
             }
         };
@@ -1078,17 +1076,15 @@ impl Runtime {
         // outputs — the staged analogue of the stream/blocks checks,
         // verified for every dataset in the batch.
         for (i, out) in outs.iter().enumerate() {
-            if let Some(exp) = expected.as_ref().and_then(|e| e.get(i)) {
+            if let Some(exp) = expected.and_then(|e| e.get(i)) {
                 if out != exp {
                     self.release_all(&procs)?;
                     self.fail_job(
                         job_id,
-                        RuntimeError::Workload {
-                            job: job_id,
-                            detail: format!(
-                                "staged dataset {i}: output {out:?}, reference says {exp:?}"
-                            ),
-                        },
+                        RuntimeError::workload(
+                            job_id,
+                            format!("staged dataset {i}: output {out:?}, reference says {exp:?}"),
+                        ),
                     );
                     return Ok(());
                 }
@@ -1116,17 +1112,6 @@ impl Runtime {
             duration,
         );
         Ok(())
-    }
-
-    /// Deploys a staged program, releasing any partially-gathered
-    /// processors if the deploy fails midway (the executor rolls back
-    /// its own gathers; this exists for symmetry with `deploy_blocks`
-    /// and to own the clone).
-    fn deploy_staged(
-        &mut self,
-        program: &vlsi_core::StagedProgram,
-    ) -> Option<vlsi_core::StagedExecutor> {
-        vlsi_core::StagedExecutor::deploy(&mut self.chip, program.clone()).ok()
     }
 
     /// Deploys a program's blocks, releasing any partially-gathered

@@ -17,6 +17,7 @@ use crate::cluster::ClusterGrid;
 use crate::coord::Coord;
 use crate::fold::serpentine;
 use crate::region::Region;
+use std::cell::OnceCell;
 
 /// A reusable free-space index over one snapshot of the chip.
 ///
@@ -27,9 +28,12 @@ use crate::region::Region;
 /// image and then answers [`find`](Self::find) probes with O(1) work per
 /// anchor: a serpentine prefix is always "`full` complete rows plus one
 /// partial row", so fit is one rectangle query plus one row-span query.
+/// Size probes ([`largest_fit`](Self::largest_fit)) stop at the anchor;
+/// only `find` materialises the [`Region`].
 ///
 /// The finder is a snapshot: rebuild it after any allocation change.
 /// Placement decisions are bit-identical to [`find_region`]'s.
+#[derive(Debug)]
 pub struct RegionFinder {
     gw: usize,
     gh: usize,
@@ -37,6 +41,9 @@ pub struct RegionFinder {
     /// Integral image, stride `gw + 1`: `ii[y * (gw+1) + x]` counts the
     /// free cells in rows `[0, y)` × columns `[0, x)`.
     ii: Vec<u32>,
+    /// [`largest_fit`](Self::largest_fit), searched at most once per
+    /// snapshot.
+    largest_fit: OnceCell<usize>,
 }
 
 impl RegionFinder {
@@ -61,6 +68,7 @@ impl RegionFinder {
             gh,
             free_total,
             ii,
+            largest_fit: OnceCell::new(),
         }
     }
 
@@ -77,24 +85,15 @@ impl RegionFinder {
             as usize
     }
 
-    /// Finds a free region of exactly `clusters` clusters, or `None` —
-    /// same candidate-width order and row-major first-fit anchor scan as
-    /// [`find_region`], so the placement is identical.
-    pub fn find(&self, clusters: usize) -> Option<Region> {
+    /// The row-major first-fit anchor for a `clusters`-cell request:
+    /// `(x0, y0, w)` of the first `w`-wide box, widths squarest first,
+    /// whose serpentine prefix is entirely free. Pure index arithmetic —
+    /// nothing is materialised, so size probes cost no allocation.
+    fn anchor(&self, clusters: usize) -> Option<(usize, usize, usize)> {
         if clusters == 0 || clusters > self.gw * self.gh || self.free_total < clusters {
             return None;
         }
-        // Candidate widths, squarest first.
-        let ideal = (clusters as f64).sqrt();
-        let mut widths: Vec<usize> = (1..=self.gw.min(clusters)).collect();
-        widths.sort_by(|&a, &b| {
-            (a as f64 - ideal)
-                .abs()
-                .partial_cmp(&(b as f64 - ideal).abs())
-                .unwrap()
-                .then(b.cmp(&a))
-        });
-        for w in widths {
+        for w in widths_squarest_first(clusters, self.gw) {
             let h = clusters.div_ceil(w);
             if h > self.gh {
                 continue;
@@ -121,34 +120,81 @@ impl RegionFinder {
                             continue;
                         }
                     }
-                    return Some(Region::new(
-                        serpentine(w as u16, h as u16)
-                            .path()
-                            .iter()
-                            .take(clusters)
-                            .map(|c| Coord::new(x0 as u16 + c.x, y0 as u16 + c.y)),
-                    ));
+                    return Some((x0, y0, w));
                 }
             }
         }
         None
     }
 
+    /// Finds a free region of exactly `clusters` clusters, or `None` —
+    /// same candidate-width order and row-major first-fit anchor scan as
+    /// [`find_region`], so the placement is identical.
+    pub fn find(&self, clusters: usize) -> Option<Region> {
+        let (x0, y0, w) = self.anchor(clusters)?;
+        let h = clusters.div_ceil(w);
+        Some(Region::new(
+            serpentine(w as u16, h as u16)
+                .path()
+                .iter()
+                .take(clusters)
+                .map(|c| Coord::new(x0 as u16 + c.x, y0 as u16 + c.y)),
+        ))
+    }
+
     /// The largest `k` for which [`find`](Self::find) succeeds (0 when
     /// nothing fits). Serpentine-prefix fit is monotone in the request
-    /// size, so this is a binary search over O(1)-amortised probes.
+    /// size, so this is a binary search over anchor-only probes — run
+    /// on the first call and remembered for the snapshot's lifetime.
     pub fn largest_fit(&self) -> usize {
-        let (mut lo, mut hi) = (0usize, self.free_total);
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if self.find(mid).is_some() {
-                lo = mid;
-            } else {
-                hi = mid - 1;
+        *self.largest_fit.get_or_init(|| {
+            let (mut lo, mut hi) = (0usize, self.free_total);
+            while lo < hi {
+                let mid = (lo + hi).div_ceil(2);
+                if self.anchor(mid).is_some() {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
             }
-        }
-        lo
+            lo
+        })
     }
+
+    /// Free-space fragmentation of the snapshot in `[0, 1]`: 0 when one
+    /// request can take every free cluster (or none is free),
+    /// approaching 1 when only tiny requests can be placed.
+    pub fn fragmentation(&self) -> f64 {
+        if self.free_total == 0 {
+            return 0.0;
+        }
+        1.0 - self.largest_fit() as f64 / self.free_total as f64
+    }
+}
+
+/// Candidate box widths `1..=min(gw, clusters)` for a `clusters`-cell
+/// request, squarest first: ascending `|w − √clusters|`, the wider of
+/// two equidistant widths first (only perfect squares tie). An
+/// integer-only merge outward from `⌊√clusters⌋` — no allocation, no
+/// float comparison, and a probe that fits its first width never
+/// computes the rest.
+fn widths_squarest_first(clusters: usize, gw: usize) -> impl Iterator<Item = usize> {
+    let max = gw.min(clusters);
+    // `lo` walks down from ⌊√k⌋ (0 = exhausted), `hi` up from ⌊√k⌋ + 1.
+    let mut lo = clusters.isqrt().min(max);
+    let mut hi = lo + 1;
+    std::iter::from_fn(move || {
+        // lo ≤ √k < hi, so lo is strictly closer iff 2√k < lo + hi.
+        if lo >= 1 && (hi > max || 4 * clusters < (lo + hi) * (lo + hi)) {
+            lo -= 1;
+            Some(lo + 1)
+        } else if hi <= max {
+            hi += 1;
+            Some(hi - 1)
+        } else {
+            None
+        }
+    })
 }
 
 /// Finds a free region of exactly `clusters` clusters, or `None`.
@@ -170,17 +216,10 @@ pub fn find_region(
     RegionFinder::new(grid, is_free).find(clusters)
 }
 
-/// Free-space fragmentation in `[0, 1]`: 0 when the largest allocatable
-/// square region covers all free clusters, approaching 1 when free
-/// clusters exist but only tiny requests can be placed.
+/// Free-space fragmentation in `[0, 1]` — one-shot convenience over
+/// [`RegionFinder::fragmentation`].
 pub fn fragmentation(grid: &ClusterGrid, is_free: impl FnMut(Coord) -> bool) -> f64 {
-    // One predicate sweep; every probe of the binary search inside
-    // `largest_fit` then runs off the shared integral image.
-    let finder = RegionFinder::new(grid, is_free);
-    if finder.free_total() == 0 {
-        return 0.0;
-    }
-    1.0 - finder.largest_fit() as f64 / finder.free_total() as f64
+    RegionFinder::new(grid, is_free).fragmentation()
 }
 
 #[cfg(test)]
@@ -245,6 +284,90 @@ mod tests {
         let a = find_region(&g, 6, |_| true).unwrap();
         let b = find_region(&g, 6, |_| true).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The float sort the allocator used to run on every probe — kept
+    /// here as the reference the integer merge must reproduce.
+    fn widths_by_float_sort(clusters: usize, gw: usize) -> Vec<usize> {
+        let ideal = (clusters as f64).sqrt();
+        let mut widths: Vec<usize> = (1..=gw.min(clusters)).collect();
+        widths.sort_by(|&a, &b| {
+            (a as f64 - ideal)
+                .abs()
+                .partial_cmp(&(b as f64 - ideal).abs())
+                .unwrap()
+                .then(b.cmp(&a))
+        });
+        widths
+    }
+
+    #[test]
+    fn candidate_width_order_is_pinned() {
+        for gw in [8usize, 16, 64] {
+            for k in 1..=256usize {
+                let got: Vec<usize> = widths_squarest_first(k, gw).collect();
+                assert_eq!(got, widths_by_float_sort(k, gw), "k={k} gw={gw}");
+            }
+        }
+        // The documented tie: a perfect square's two equidistant
+        // neighbours come wider first.
+        assert_eq!(
+            widths_squarest_first(16, 8).collect::<Vec<_>>(),
+            vec![4, 5, 3, 6, 2, 7, 1, 8]
+        );
+    }
+
+    /// Cell-by-cell oracle, no integral image: does *any* box width and
+    /// anchor hold a free `k`-cell serpentine prefix?
+    fn brute_force_fits(g: &ClusterGrid, k: usize, free: &dyn Fn(Coord) -> bool) -> bool {
+        let (gw, gh) = (g.width(), g.height());
+        (1..=gw).any(|w| {
+            let h = k.div_ceil(usize::from(w)) as u16;
+            h <= gh
+                && (0..=gh - h).any(|y0| {
+                    (0..=gw - w).any(|x0| {
+                        serpentine(w, h)
+                            .path()
+                            .iter()
+                            .take(k)
+                            .all(|c| free(Coord::new(x0 + c.x, y0 + c.y)))
+                    })
+                })
+        })
+    }
+
+    #[test]
+    fn anchor_probe_agrees_with_find_for_every_size() {
+        let g = grid();
+        // Free-space shapes: empty die, a pinned column, a checkerboard,
+        // and a pseudo-random scatter.
+        let occupancies: [&dyn Fn(Coord) -> bool; 4] = [
+            &|_| true,
+            &|c| !(3..5).contains(&c.x),
+            &|c| (c.x + c.y) % 2 == 0,
+            &|c| (c.x * 7 + c.y * 13 + c.x * c.y) % 5 != 0,
+        ];
+        for free in occupancies {
+            let finder = RegionFinder::new(&g, free);
+            for k in 0..=finder.free_total() {
+                let found = finder.find(k);
+                assert_eq!(finder.anchor(k).is_some(), found.is_some(), "k={k}");
+                assert_eq!(
+                    found.is_some(),
+                    k > 0 && brute_force_fits(&g, k, free),
+                    "k={k}"
+                );
+                if let Some(r) = found {
+                    assert_eq!(r.len(), k);
+                    assert!(r.cells().all(free), "k={k}: region must be free");
+                }
+            }
+            let exhaustive = (0..=finder.free_total())
+                .rev()
+                .find(|&k| finder.find(k).is_some())
+                .unwrap_or(0);
+            assert_eq!(finder.largest_fit(), exhaustive);
+        }
     }
 
     #[test]

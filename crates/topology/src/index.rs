@@ -37,6 +37,11 @@ pub struct FabricIndex {
     free: usize,
     /// Defective cells, maintained incrementally.
     defects: usize,
+    /// Occupancy generation: bumped by every call that changes which
+    /// cells are free, so two reads under one value saw the same free
+    /// set. Snapshots of the free space (the chip's shared
+    /// `RegionFinder`) are keyed on it.
+    generation: u64,
 }
 
 impl FabricIndex {
@@ -50,6 +55,7 @@ impl FabricIndex {
             defect: vec![false; n],
             free: n,
             defects: 0,
+            generation: 0,
         }
     }
 
@@ -99,6 +105,12 @@ impl FabricIndex {
         self.free
     }
 
+    /// The occupancy generation: equal values mean no owner or defect
+    /// changed in between.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Assigns `c` to `tag`. Out-of-bounds coordinates are ignored (the
     /// fabric's own bounds checks are the authority on errors).
     pub fn set_owner(&mut self, c: Coord, tag: RegionTag) {
@@ -107,6 +119,7 @@ impl FabricIndex {
                 self.free -= 1;
             }
             self.owner[i] = tag.0;
+            self.generation += 1;
         }
     }
 
@@ -118,6 +131,7 @@ impl FabricIndex {
                 if !self.defect[i] {
                     self.free += 1;
                 }
+                self.generation += 1;
             }
         }
     }
@@ -135,6 +149,7 @@ impl FabricIndex {
                 released += 1;
             }
         }
+        self.generation += u64::from(released > 0);
         released
     }
 
@@ -152,6 +167,7 @@ impl FabricIndex {
                 }
                 self.defect[i] = true;
                 self.defects += 1;
+                self.generation += 1;
             }
         }
     }
@@ -251,6 +267,32 @@ mod tests {
         assert_eq!(ix.release_owner(RegionTag(3)), 1);
         assert_eq!(ix.free_clusters(), 2);
         assert!(!ix.is_free(Coord::new(1, 1)));
+    }
+
+    #[test]
+    fn generation_moves_exactly_when_occupancy_does() {
+        let mut ix = FabricIndex::new(3, 3);
+        let mut last = ix.generation();
+        let mut moved = |ix: &FabricIndex| {
+            let now = ix.generation();
+            let changed = now != last;
+            last = now;
+            changed
+        };
+        ix.set_owner(Coord::new(0, 0), RegionTag(1));
+        assert!(moved(&ix));
+        ix.mark_defective(Coord::new(2, 2));
+        assert!(moved(&ix));
+        ix.mark_defective(Coord::new(2, 2)); // already defective
+        assert!(!moved(&ix));
+        assert_eq!(ix.release_owner(RegionTag(9)), 0); // owns nothing
+        assert!(!moved(&ix));
+        ix.clear_owner(Coord::new(1, 1)); // unowned
+        assert!(!moved(&ix));
+        ix.set_owner(Coord::new(7, 7), RegionTag(1)); // off the die
+        assert!(!moved(&ix));
+        assert_eq!(ix.release_owner(RegionTag(1)), 1);
+        assert!(moved(&ix));
     }
 
     #[test]

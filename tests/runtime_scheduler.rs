@@ -245,3 +245,120 @@ fn policies_disagree_on_ordering_but_not_on_results() {
         }
     }
 }
+
+/// The chip answers a compaction that can move nothing — asked again
+/// before anything on the die changed — from its occupancy generation,
+/// without consulting the allocator. The scheduler's log must not be
+/// able to tell: every fragmentation-triggered retry still records its
+/// `Compacted` event with the same `moved`/`frag_*_milli`, and the chip
+/// counts every compaction but only real moves as relocations.
+#[test]
+fn a_cached_no_op_compaction_still_logs_its_event() {
+    use vlsi_processor::core::ProcState;
+    let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
+    // One cycle per tick: the blocks tenant below holds its processors
+    // (Inactive between runs — compaction candidates) for hundreds of
+    // ticks instead of a handful.
+    let config = RuntimeConfig {
+        pool_ttl: None,
+        cycles_per_tick: 1,
+        ..RuntimeConfig::default()
+    };
+    let mut rt = Runtime::new(chip, Box::new(Fifo), config);
+    let mut rng = vlsi_processor::prng::Prng::seed_from_u64(SEED);
+    let case = vlsi_processor::workloads::jobmix::block_case(&mut rng);
+    rt.submit(JobSpec::for_blocks(
+        "blocks",
+        case.program,
+        case.datasets,
+        case.result_var,
+    ));
+    // 2×2 reservations tile the rest of the die; every other one is
+    // short, so their release leaves free columns between long tenants.
+    let idle = |ticks| JobSpec::new("idle", 4, Workload::Idle { ticks });
+    for i in 0..12 {
+        rt.submit(idle(if i % 2 == 0 { 2 } else { 300 }));
+    }
+    for _ in 0..6 {
+        rt.tick().unwrap();
+    }
+    assert!(
+        rt.chip()
+            .processors()
+            .any(|p| p.state == ProcState::Inactive),
+        "the blocks tenant's processors are compaction candidates"
+    );
+    // Three 2×6 columns are free: 24 clusters, never 16 in one region.
+    let starved =
+        rt.submit(JobSpec::new("starved", 16, Workload::Idle { ticks: 1 }).with_max_retries(3));
+    for _ in 0..80 {
+        rt.tick().unwrap();
+    }
+    assert!(matches!(
+        rt.job(starved).unwrap().failure,
+        Some(RuntimeError::RetriesExhausted { attempts: 4, .. })
+    ));
+
+    let compacted: Vec<(usize, u32, u32)> = rt
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Compacted {
+                moved,
+                frag_before_milli,
+                frag_after_milli,
+            } => Some((moved, frag_before_milli, frag_after_milli)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(compacted.len(), 4, "one compaction per starved attempt");
+    let (moved, before, after) = compacted[0];
+    assert_eq!(moved, 0, "everyone already sits where the allocator wants");
+    assert!(before > 350 && before == after, "{compacted:?}");
+    assert!(
+        compacted.iter().all(|c| *c == compacted[0]),
+        "cached no-ops must log what the first pass logged: {compacted:?}"
+    );
+    assert_eq!(rt.stats().compactions, 4);
+    let snap = rt.telemetry().snapshot();
+    if rt.telemetry().is_enabled() {
+        assert_eq!(snap.counter("core.compactions"), 4);
+        assert_eq!(
+            snap.counter("core.relocations"),
+            0,
+            "nothing moved, so nothing was re-programmed"
+        );
+    }
+}
+
+/// `core.relocations` counts processors that actually moved: every one
+/// is either a compaction move the log reports or a defect recovery.
+/// A chip that re-programs processors where they stand would count more
+/// — ci.sh prints these lines so that regression shows as a count.
+#[test]
+fn relocations_in_the_acceptance_run_are_all_moves() {
+    for policy in policies() {
+        let name = policy.name();
+        let rt = acceptance_run(policy);
+        if !rt.telemetry().is_enabled() {
+            return; // built with telemetry compiled out
+        }
+        let moved: u64 = rt
+            .events()
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Compacted { moved, .. } => moved as u64,
+                _ => 0,
+            })
+            .sum();
+        let recovered = rt.stats().relocations;
+        let snap = rt.telemetry().snapshot();
+        let relocations = snap.counter("core.relocations");
+        println!(
+            "{name}: core.relocations {relocations} = compaction moved {moved} + defect \
+             recoveries {recovered} ({} compactions)",
+            snap.counter("core.compactions")
+        );
+        assert_eq!(relocations, moved + recovered, "{name}");
+    }
+}
