@@ -2,7 +2,9 @@
 //!
 //! After acquirement the objects "are free from control" (§2.2): data
 //! simply flows through the chained operators. This module is the dataflow
-//! engine that makes a configured stream *run*:
+//! engine that makes a configured stream *run* — the only one; a single
+//! AP's `execute` and a 1024-AP region sweep advance the same
+//! [`Datapath::step`]:
 //!
 //! * every object is a node with up to two value ports and one predicate
 //!   port, single-token input latches, and a single-token output latch
@@ -24,13 +26,20 @@
 //!   sources through the datapath (§2.2: "An object is released by
 //!   receiving and firing release token(s) from the preceding object(s)"),
 //!   yielding the release order the processor uses to free resources.
+//!
+//! The graph is stored as parallel slabs over the node index (ops,
+//! immediates, registers, latches, in-flight slots, counters) plus a CSR
+//! successor list, not as a `Vec` of node structs: one cycle of one AP
+//! walks a handful of dense arrays front to back, which is what keeps a
+//! region of a thousand APs out of the cache-miss regime.
 
 use crate::error::ApError;
 use crate::metrics::ApMetrics;
 use std::collections::HashMap;
+use vlsi_object::memory::MEMORY_WORDS;
 use vlsi_object::{
-    GlobalConfigStream, LocalConfig, MemoryBlock, ObjectId, ObjectKind, Operation, Word,
-    PHYS_REGISTERS,
+    GlobalConfigStream, LocalConfig, MemoryBlock, ObjectError, ObjectId, ObjectKind, Operation,
+    Word, PHYS_REGISTERS,
 };
 
 /// Static description of one datapath node, assembled from a bound object.
@@ -49,38 +58,39 @@ pub struct NodeSpec {
 }
 
 /// Per-port input latch indices.
-pub(crate) const LHS: usize = 0;
-pub(crate) const RHS: usize = 1;
-pub(crate) const PRED: usize = 2;
+const LHS: usize = 0;
+const RHS: usize = 1;
+const PRED: usize = 2;
 
+/// Sentinel for "nothing in flight" in the latency countdown slab
+/// (`Operation::latency` is tiny; real countdowns never reach this).
+const IDLE: u32 = u32::MAX;
+
+/// Where a datapath is in its run.
 #[derive(Clone, Debug)]
-pub(crate) struct Node {
-    pub(crate) spec: NodeSpec,
-    pub(crate) srcs: [Option<usize>; 3],
-    pub(crate) succs: Vec<(usize, usize)>, // (node index, port)
-    inputs: [Option<Word>; 3],
-    in_flight: Option<(u32, Option<Word>)>,
-    out: Option<Word>,
-    produced: u64,
-    exhausted: bool,
+enum RunStatus {
+    /// `start` not called since the last `finish`.
+    Pending,
+    /// Mid-run: more cycles to simulate.
+    Running,
+    /// Reached quiescence; the report is ready.
+    Drained,
+    /// Hit a typed error (memory fault or cycle-budget timeout).
+    Failed(ApError),
 }
 
-impl Node {
-    fn is_stream_load(&self) -> bool {
-        self.spec.cfg.op == Operation::Load && self.srcs[LHS].is_none()
-    }
-
-    fn is_stream_store(&self) -> bool {
-        self.spec.cfg.op == Operation::Store && self.srcs[LHS].is_none()
-    }
-
-    fn stream_limit(&self) -> u64 {
-        self.spec.regs[2].as_u64()
-    }
+/// `base + offset` as a word address. A sum past `u64::MAX` lies outside
+/// every block; letting it wrap would alias a small, valid address.
+pub(crate) fn offset_addr(base: u64, offset: u64) -> Result<u64, ObjectError> {
+    base.checked_add(offset)
+        .ok_or(ObjectError::AddressOutOfRange {
+            addr: u64::MAX,
+            capacity: MEMORY_WORDS,
+        })
 }
 
 /// Outcome of one datapath run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct ExecutionReport {
     /// Cycles simulated.
     pub cycles: u64,
@@ -105,10 +115,46 @@ pub struct ExecutionReport {
 }
 
 /// A configured, executable datapath.
+///
+/// Run it in one call with [`run`](Self::run), or cycle by cycle with
+/// [`start`](Self::start) / [`step`](Self::step) /
+/// [`finish`](Self::finish) — `run` is exactly that loop. Register state
+/// (stream pointers) lives here and advances across runs; everything
+/// else is cleared by `start`.
 #[derive(Clone, Debug)]
 pub struct Datapath {
-    pub(crate) nodes: Vec<Node>,
-    index: HashMap<ObjectId, usize>,
+    // Static structure, parallel over node index.
+    ids: Vec<ObjectId>,
+    ops: Vec<Operation>,
+    imms: Vec<Word>,
+    regs: Vec<[Word; PHYS_REGISTERS]>,
+    /// Which input ports are wired (for stream detection and release
+    /// pending counts).
+    has_src: Vec<[bool; 3]>,
+    /// CSR successor offsets, `nodes + 1` entries.
+    succ_start: Vec<u32>,
+    /// CSR successor payload: `(node index, port)`.
+    succ_list: Vec<(u32, u8)>,
+    /// Successor-less compute nodes whose outputs the report collects.
+    is_tap: Vec<bool>,
+    // Transient dataflow state, parallel over node index.
+    inputs: Vec<[Option<Word>; 3]>,
+    inflight_rem: Vec<u32>,
+    inflight_val: Vec<Option<Word>>,
+    out: Vec<Option<Word>>,
+    produced: Vec<u64>,
+    exhausted: Vec<bool>,
+    // Report accumulation.
+    tap_vals: Vec<Vec<Word>>,
+    node_firings: Vec<u64>,
+    firings: u64,
+    loads: u64,
+    stores: u64,
+    cycles: u64,
+    // Run control.
+    tap_limit: u64,
+    max_cycles: u64,
+    status: RunStatus,
 }
 
 impl Datapath {
@@ -125,60 +171,85 @@ impl Datapath {
         if stream.is_empty() {
             return Err(ApError::EmptyDatapath);
         }
-        let mut dp = Datapath {
-            nodes: Vec::new(),
-            index: HashMap::new(),
-        };
         // First pass: materialise nodes for every referenced object.
+        let mut index: HashMap<ObjectId, usize> = HashMap::new();
+        let (mut ids, mut ops, mut imms, mut regs) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for id in stream.working_set() {
             let spec = resolve(id).ok_or(ApError::UndefinedSource(id))?;
-            let idx = dp.nodes.len();
-            dp.nodes.push(Node {
-                spec,
-                srcs: [None; 3],
-                succs: Vec::new(),
-                inputs: [None; 3],
-                in_flight: None,
-                out: None,
-                produced: 0,
-                exhausted: false,
-            });
-            dp.index.insert(id, idx);
+            index.insert(id, ids.len());
+            ids.push(spec.id);
+            ops.push(spec.cfg.op);
+            imms.push(spec.cfg.imm);
+            regs.push(spec.regs);
         }
         // Second pass: wire ports.
+        let n = ids.len();
+        let mut has_src = vec![[false; 3]; n];
+        let mut succs: Vec<Vec<(u32, u8)>> = vec![Vec::new(); n];
         for e in stream.elements() {
-            let sink = dp.index[&e.sink];
+            let sink = index[&e.sink];
             let ports = [(LHS, e.src_lhs), (RHS, e.src_rhs), (PRED, e.src_pred)];
             for (port, src) in ports {
                 let Some(src_id) = src else { continue };
-                let src_idx = dp.index[&src_id];
-                if dp.nodes[sink].srcs[port].is_none() {
-                    dp.nodes[sink].srcs[port] = Some(src_idx);
-                    dp.nodes[src_idx].succs.push((sink, port));
+                if !has_src[sink][port] {
+                    has_src[sink][port] = true;
+                    succs[index[&src_id]].push((sink as u32, port as u8));
                 }
             }
         }
-        Ok(dp)
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut succ_list = Vec::new();
+        for s in &succs {
+            succ_start.push(succ_list.len() as u32);
+            succ_list.extend_from_slice(s);
+        }
+        succ_start.push(succ_list.len() as u32);
+        let is_tap = (0..n)
+            .map(|i| succs[i].is_empty() && !ops[i].is_memory_op())
+            .collect();
+        Ok(Datapath {
+            ids,
+            ops,
+            imms,
+            regs,
+            has_src,
+            succ_start,
+            succ_list,
+            is_tap,
+            inputs: vec![[None; 3]; n],
+            inflight_rem: vec![IDLE; n],
+            inflight_val: vec![None; n],
+            out: vec![None; n],
+            produced: vec![0; n],
+            exhausted: vec![false; n],
+            tap_vals: vec![Vec::new(); n],
+            node_firings: vec![0; n],
+            firings: 0,
+            loads: 0,
+            stores: 0,
+            cycles: 0,
+            tap_limit: 0,
+            max_cycles: 0,
+            status: RunStatus::Pending,
+        })
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     /// Whether the datapath has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.ids.is_empty()
     }
 
-    /// IDs of tap nodes (compute nodes with no successors) whose outputs
-    /// the report collects.
-    pub fn tap_ids(&self) -> Vec<ObjectId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.succs.is_empty() && !n.spec.cfg.op.is_memory_op())
-            .map(|n| n.spec.id)
-            .collect()
+    /// Live register state per node, in node order (memory stream
+    /// pointers advance across runs). Exposed so the processor can
+    /// persist state to the bound objects.
+    pub fn regs(&self) -> impl Iterator<Item = (ObjectId, &[Word; PHYS_REGISTERS])> {
+        self.ids.iter().copied().zip(&self.regs)
     }
 
     /// Runs the datapath until it drains or `max_cycles` elapse.
@@ -193,245 +264,274 @@ impl Datapath {
         tap_limit: u64,
         max_cycles: u64,
     ) -> Result<ExecutionReport, ApError> {
-        // A resident datapath can run repeatedly: clear the transient
-        // dataflow state (latches, in-flight ops, production counters) but
-        // keep the register state — stream pointers advance across runs.
-        for n in &mut self.nodes {
-            n.inputs = [None; 3];
-            n.in_flight = None;
-            n.out = None;
-            n.produced = 0;
-            n.exhausted = false;
-        }
-        let mut report = ExecutionReport::default();
-        for id in self.tap_ids() {
-            report.taps.insert(id, Vec::new());
-        }
-        for cycle in 0..max_cycles {
-            let mut activity = false;
+        self.start(tap_limit, max_cycles);
+        while self.step(memory) {}
+        self.finish()
+    }
 
-            // Phase 1: deliver outputs to successor latches (broadcast with
-            // backpressure: the output clears only when all successors have
-            // accepted).
-            for i in 0..self.nodes.len() {
-                let Some(v) = self.nodes[i].out else { continue };
-                if self.nodes[i].succs.is_empty() {
-                    // A tap: collect.
-                    let id = self.nodes[i].spec.id;
-                    if let Some(vals) = report.taps.get_mut(&id) {
-                        if (vals.len() as u64) < tap_limit {
-                            vals.push(v);
-                            activity = true;
-                        }
-                    }
-                    self.nodes[i].out = None;
-                    self.nodes[i].produced += 1;
-                    continue;
-                }
-                let succs = self.nodes[i].succs.clone();
-                let all_free = succs
-                    .iter()
-                    .all(|&(s, p)| self.nodes[s].inputs[p].is_none());
-                if all_free {
-                    for (s, p) in succs {
-                        self.nodes[s].inputs[p] = Some(v);
-                    }
-                    self.nodes[i].out = None;
-                    self.nodes[i].produced += 1;
+    /// Arms a run with the knobs of [`run`](Self::run). A resident
+    /// datapath runs repeatedly: the transient dataflow state (latches,
+    /// in-flight ops, production counters) is cleared, the register state
+    /// is kept — stream pointers advance across runs. A zero cycle budget
+    /// fails immediately.
+    pub fn start(&mut self, tap_limit: u64, max_cycles: u64) {
+        self.inputs.fill([None; 3]);
+        self.inflight_rem.fill(IDLE);
+        self.inflight_val.fill(None);
+        self.out.fill(None);
+        self.produced.fill(0);
+        self.exhausted.fill(false);
+        self.tap_vals.iter_mut().for_each(Vec::clear);
+        self.node_firings.fill(0);
+        (self.firings, self.loads, self.stores, self.cycles) = (0, 0, 0, 0);
+        self.tap_limit = tap_limit;
+        self.max_cycles = max_cycles;
+        self.status = if max_cycles == 0 {
+            RunStatus::Failed(ApError::ExecutionTimeout { cycles: 0 })
+        } else {
+            RunStatus::Running
+        };
+    }
+
+    /// Simulates one cycle over `memory`: deliver outputs, retire
+    /// in-flight operations, fire ready nodes. Returns whether the run
+    /// has more cycles to simulate; once it returns `false` the outcome
+    /// (drain, memory fault, or cycle-budget timeout) waits in
+    /// [`finish`](Self::finish).
+    pub fn step(&mut self, memory: &mut [MemoryBlock]) -> bool {
+        if !matches!(self.status, RunStatus::Running) {
+            return false;
+        }
+        let mut activity = false;
+
+        // Phase 1: deliver outputs to successor latches (broadcast with
+        // backpressure: the output clears only when all successors have
+        // accepted).
+        for i in 0..self.out.len() {
+            let Some(v) = self.out[i] else { continue };
+            let lo = self.succ_start[i] as usize;
+            let hi = self.succ_start[i + 1] as usize;
+            if lo == hi {
+                // A tap: collect. (Successor-less memory nodes drop the
+                // value — only taps have collection vectors.)
+                if self.is_tap[i] && (self.tap_vals[i].len() as u64) < self.tap_limit {
+                    self.tap_vals[i].push(v);
                     activity = true;
                 }
+                self.out[i] = None;
+                self.produced[i] += 1;
+                continue;
             }
-
-            // Phase 2: retire in-flight operations whose latency elapsed.
-            for n in &mut self.nodes {
-                if let Some((remaining, result)) = n.in_flight {
-                    if remaining <= 1 {
-                        n.in_flight = None;
-                        if let Some(v) = result {
-                            debug_assert!(n.out.is_none());
-                            n.out = Some(v);
-                        }
-                        activity = true;
-                    } else {
-                        n.in_flight = Some((remaining - 1, result));
-                        activity = true;
-                    }
+            let (succ_list, inputs) = (&self.succ_list, &mut self.inputs);
+            let all_free = succ_list[lo..hi]
+                .iter()
+                .all(|&(s, p)| inputs[s as usize][p as usize].is_none());
+            if all_free {
+                for &(s, p) in &succ_list[lo..hi] {
+                    inputs[s as usize][p as usize] = Some(v);
                 }
-            }
-
-            // Phase 3: fire ready nodes.
-            for i in 0..self.nodes.len() {
-                if self.try_fire(i, memory, &mut report)? {
-                    *report
-                        .node_firings
-                        .entry(self.nodes[i].spec.id)
-                        .or_insert(0) += 1;
-                    activity = true;
-                }
-            }
-
-            report.cycles = cycle + 1;
-            if !activity {
-                report.drained = true;
-                break;
+                self.out[i] = None;
+                self.produced[i] += 1;
+                activity = true;
             }
         }
-        if !report.drained {
+
+        // Phase 2: retire in-flight operations whose latency elapsed.
+        for i in 0..self.inflight_rem.len() {
+            let rem = self.inflight_rem[i];
+            if rem == IDLE {
+                continue;
+            }
+            if rem <= 1 {
+                self.inflight_rem[i] = IDLE;
+                if let Some(v) = self.inflight_val[i].take() {
+                    debug_assert!(self.out[i].is_none());
+                    self.out[i] = Some(v);
+                }
+                activity = true;
+            } else {
+                self.inflight_rem[i] = rem - 1;
+                activity = true;
+            }
+        }
+
+        // Phase 3: fire ready nodes, in node-index order.
+        for i in 0..self.ids.len() {
+            match self.try_fire(i, memory) {
+                Ok(true) => {
+                    self.node_firings[i] += 1;
+                    activity = true;
+                }
+                Ok(false) => {}
+                Err(e) => {
+                    self.status = RunStatus::Failed(e);
+                    return false;
+                }
+            }
+        }
+
+        self.cycles += 1;
+        if !activity {
+            self.status = RunStatus::Drained;
+            return false;
+        }
+        if self.cycles >= self.max_cycles {
             // The cycle budget elapsed with work still in flight.
-            return Err(ApError::ExecutionTimeout {
-                cycles: report.cycles,
+            self.status = RunStatus::Failed(ApError::ExecutionTimeout {
+                cycles: self.cycles,
             });
+            return false;
         }
-        self.fire_release_tokens(&mut report);
-        Ok(report)
+        true
+    }
+
+    fn is_stream(&self, i: usize) -> bool {
+        !self.has_src[i][LHS]
+    }
+
+    fn set_inflight(&mut self, i: usize, latency: u32, v: Word) {
+        self.inflight_rem[i] = latency;
+        self.inflight_val[i] = Some(v);
     }
 
     /// Attempts to fire node `i`. Returns whether it fired.
-    fn try_fire(
-        &mut self,
-        i: usize,
-        memory: &mut [MemoryBlock],
-        report: &mut ExecutionReport,
-    ) -> Result<bool, ApError> {
-        let n = &self.nodes[i];
-        if n.in_flight.is_some() || n.out.is_some() || n.exhausted {
+    fn try_fire(&mut self, i: usize, memory: &mut [MemoryBlock]) -> Result<bool, ApError> {
+        if self.inflight_rem[i] != IDLE || self.out[i].is_some() || self.exhausted[i] {
             return Ok(false);
         }
-        let op = n.spec.cfg.op;
-        let imm = n.spec.cfg.imm;
+        let op = self.ops[i];
+        let imm = self.imms[i];
         match op {
             Operation::Const => {
-                // A constant regenerates whenever downstream consumed it,
-                // up to its stream limit (regs[2]; 0 = one-shot).
-                let limit = n.spec.regs[2].as_u64().max(1);
-                if n.produced >= limit {
-                    self.nodes[i].exhausted = true;
+                // A constant regenerates whenever downstream consumed
+                // it, up to its stream limit (regs[2]; 0 = one-shot).
+                let limit = self.regs[i][2].as_u64().max(1);
+                if self.produced[i] >= limit {
+                    self.exhausted[i] = true;
                     return Ok(false);
                 }
-                self.nodes[i].in_flight = Some((op.latency(), Some(imm)));
-                report.firings += 1;
+                self.set_inflight(i, op.latency(), imm);
+                self.firings += 1;
                 Ok(true)
             }
             Operation::Load => {
-                if self.nodes[i].is_stream_load() {
-                    let limit = self.nodes[i].stream_limit();
-                    if limit != 0
-                        && self.nodes[i].produced + u64::from(self.nodes[i].in_flight.is_some())
-                            >= limit
-                    {
-                        self.nodes[i].exhausted = true;
+                if self.is_stream(i) {
+                    let limit = self.regs[i][2].as_u64();
+                    if limit != 0 && self.produced[i] >= limit {
+                        self.exhausted[i] = true;
                         return Ok(false);
                     }
-                    let block = self.nodes[i].spec.regs[1].as_u64() as usize;
-                    let addr = self.nodes[i].spec.regs[0].as_u64();
+                    let block = self.regs[i][1].as_u64() as usize;
+                    let addr = self.regs[i][0].as_u64();
                     let mem = memory
                         .get_mut(block)
-                        .ok_or(ApError::UndefinedSource(self.nodes[i].spec.id))?;
+                        .ok_or(ApError::UndefinedSource(self.ids[i]))?;
                     let v = mem.load(addr)?;
-                    self.nodes[i].spec.regs[0] = Word(addr + 1);
-                    self.nodes[i].in_flight = Some((op.latency(), Some(v)));
-                    report.loads += 1;
-                    report.firings += 1;
+                    self.regs[i][0] = Word(offset_addr(addr, 1)?);
+                    self.set_inflight(i, op.latency(), v);
+                    self.loads += 1;
+                    self.firings += 1;
                     Ok(true)
                 } else {
                     // Addressed load: wait for the address token.
-                    let Some(addr_tok) = self.nodes[i].inputs[LHS] else {
+                    let Some(addr_tok) = self.inputs[i][LHS] else {
                         return Ok(false);
                     };
-                    self.nodes[i].inputs[LHS] = None;
-                    let block = self.nodes[i].spec.regs[1].as_u64() as usize;
-                    let base = self.nodes[i].spec.regs[0].as_u64();
+                    self.inputs[i][LHS] = None;
+                    let block = self.regs[i][1].as_u64() as usize;
+                    let base = self.regs[i][0].as_u64();
                     let mem = memory
                         .get_mut(block)
-                        .ok_or(ApError::UndefinedSource(self.nodes[i].spec.id))?;
-                    let v = mem.load(base + addr_tok.as_u64())?;
-                    self.nodes[i].in_flight = Some((op.latency(), Some(v)));
-                    report.loads += 1;
-                    report.firings += 1;
+                        .ok_or(ApError::UndefinedSource(self.ids[i]))?;
+                    let v = mem.load(offset_addr(base, addr_tok.as_u64())?)?;
+                    self.set_inflight(i, op.latency(), v);
+                    self.loads += 1;
+                    self.firings += 1;
                     Ok(true)
                 }
             }
             Operation::Store => {
-                let Some(data) = self.nodes[i].inputs[RHS] else {
+                let Some(data) = self.inputs[i][RHS] else {
                     return Ok(false);
                 };
-                let addr = if self.nodes[i].is_stream_store() {
-                    let a = self.nodes[i].spec.regs[0].as_u64();
-                    self.nodes[i].spec.regs[0] = Word(a + 1);
+                let addr = if self.is_stream(i) {
+                    let a = self.regs[i][0].as_u64();
+                    self.regs[i][0] = Word(offset_addr(a, 1)?);
                     a
                 } else {
-                    let Some(addr_tok) = self.nodes[i].inputs[LHS] else {
+                    let Some(addr_tok) = self.inputs[i][LHS] else {
                         return Ok(false);
                     };
-                    self.nodes[i].inputs[LHS] = None;
+                    self.inputs[i][LHS] = None;
                     addr_tok.as_u64()
                 };
-                self.nodes[i].inputs[RHS] = None;
-                let block = self.nodes[i].spec.regs[1].as_u64() as usize;
+                self.inputs[i][RHS] = None;
+                let block = self.regs[i][1].as_u64() as usize;
                 let mem = memory
                     .get_mut(block)
-                    .ok_or(ApError::UndefinedSource(self.nodes[i].spec.id))?;
+                    .ok_or(ApError::UndefinedSource(self.ids[i]))?;
                 mem.store(addr, data)?;
-                // Stores produce no token; model latency as instant retire.
-                self.nodes[i].produced += 1;
-                report.stores += 1;
-                report.firings += 1;
+                // Stores produce no token; model latency as instant
+                // retire.
+                self.produced[i] += 1;
+                self.stores += 1;
+                self.firings += 1;
                 Ok(true)
             }
             Operation::SteerTrue | Operation::SteerFalse => {
-                let (Some(v), Some(p)) = (self.nodes[i].inputs[LHS], self.nodes[i].inputs[PRED])
-                else {
+                let (Some(v), Some(p)) = (self.inputs[i][LHS], self.inputs[i][PRED]) else {
                     return Ok(false);
                 };
-                self.nodes[i].inputs[LHS] = None;
-                self.nodes[i].inputs[PRED] = None;
+                self.inputs[i][LHS] = None;
+                self.inputs[i][PRED] = None;
                 let pass = p.as_bool() == (op == Operation::SteerTrue);
-                report.firings += 1;
+                self.firings += 1;
                 if pass {
-                    self.nodes[i].in_flight = Some((op.latency(), Some(v)));
+                    self.set_inflight(i, op.latency(), v);
                 } else {
                     // Token consumed silently; the arm stays dark.
                 }
                 Ok(true)
             }
             Operation::Merge => {
-                let port = if self.nodes[i].inputs[LHS].is_some() {
+                let port = if self.inputs[i][LHS].is_some() {
                     LHS
-                } else if self.nodes[i].inputs[RHS].is_some() {
+                } else if self.inputs[i][RHS].is_some() {
                     RHS
                 } else {
                     return Ok(false);
                 };
-                let v = self.nodes[i].inputs[port].take().unwrap();
-                self.nodes[i].in_flight = Some((op.latency(), Some(v)));
-                report.firings += 1;
+                let v = self.inputs[i][port].take().unwrap();
+                self.set_inflight(i, op.latency(), v);
+                self.firings += 1;
                 Ok(true)
             }
             _ => {
-                // Plain value operation: all declared ports must hold tokens.
+                // Plain value operation: all declared ports must hold
+                // tokens.
                 let arity = op.arity();
                 let need_lhs = arity >= 1;
                 let need_rhs = arity >= 2;
-                if (need_lhs && self.nodes[i].inputs[LHS].is_none())
-                    || (need_rhs && self.nodes[i].inputs[RHS].is_none())
+                if (need_lhs && self.inputs[i][LHS].is_none())
+                    || (need_rhs && self.inputs[i][RHS].is_none())
                 {
                     return Ok(false);
                 }
                 let lhs = if need_lhs {
-                    self.nodes[i].inputs[LHS].take().unwrap()
+                    self.inputs[i][LHS].take().unwrap()
                 } else {
                     Word::ZERO
                 };
                 let rhs = if need_rhs {
-                    self.nodes[i].inputs[RHS].take().unwrap()
+                    self.inputs[i][RHS].take().unwrap()
                 } else {
                     Word::ZERO
                 };
                 let result = op
                     .eval(lhs, rhs, imm)
                     .expect("context-free operation must evaluate");
-                self.nodes[i].in_flight = Some((op.latency(), Some(result)));
-                report.firings += 1;
+                self.set_inflight(i, op.latency(), result);
+                self.firings += 1;
                 Ok(true)
             }
         }
@@ -441,33 +541,72 @@ impl Datapath {
     /// recording the release order. Sources (no wired inputs) fire first;
     /// every node releases after receiving a token from each predecessor.
     fn fire_release_tokens(&self, report: &mut ExecutionReport) {
-        let n = self.nodes.len();
+        let n = self.ids.len();
         let mut pending: Vec<usize> = self
-            .nodes
+            .has_src
             .iter()
-            .map(|node| node.srcs.iter().flatten().count())
+            .map(|srcs| srcs.iter().filter(|&&s| s).count())
             .collect();
         let mut queue: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
         let mut head = 0;
         while head < queue.len() {
             let i = queue[head];
             head += 1;
-            report.release_order.push(self.nodes[i].spec.id);
+            report.release_order.push(self.ids[i]);
             report.release_tokens += 1;
-            for &(s, _) in &self.nodes[i].succs {
+            let lo = self.succ_start[i] as usize;
+            let hi = self.succ_start[i + 1] as usize;
+            for &(s, _) in &self.succ_list[lo..hi] {
                 // One token per edge.
                 report.release_tokens += 1;
-                pending[s] -= 1;
-                if pending[s] == 0 {
-                    queue.push(s);
+                pending[s as usize] -= 1;
+                if pending[s as usize] == 0 {
+                    queue.push(s as usize);
                 }
             }
         }
         // Nodes on cycles never receive all tokens; they are released by
         // force at the end (the paper's datapaths are acyclic).
-        for (node, &p) in self.nodes.iter().zip(&pending) {
+        for (i, &p) in pending.iter().enumerate() {
             if p > 0 {
-                report.release_order.push(node.spec.id);
+                report.release_order.push(self.ids[i]);
+            }
+        }
+    }
+
+    /// Closes the run [`start`](Self::start) armed and returns its
+    /// outcome: the report of a drained run (release tokens fired), or
+    /// the typed error that stopped it. A run abandoned mid-flight, or
+    /// never started, reads as a timeout at the cycles it reached.
+    pub fn finish(&mut self) -> Result<ExecutionReport, ApError> {
+        match std::mem::replace(&mut self.status, RunStatus::Pending) {
+            RunStatus::Pending | RunStatus::Running => Err(ApError::ExecutionTimeout {
+                cycles: self.cycles,
+            }),
+            RunStatus::Failed(e) => Err(e),
+            RunStatus::Drained => {
+                let mut report = ExecutionReport {
+                    cycles: self.cycles,
+                    firings: self.firings,
+                    loads: self.loads,
+                    stores: self.stores,
+                    drained: true,
+                    ..ExecutionReport::default()
+                };
+                for i in 0..self.ids.len() {
+                    if self.is_tap[i] {
+                        report
+                            .taps
+                            .insert(self.ids[i], std::mem::take(&mut self.tap_vals[i]));
+                    }
+                    if self.node_firings[i] > 0 {
+                        report
+                            .node_firings
+                            .insert(self.ids[i], self.node_firings[i]);
+                    }
+                }
+                self.fire_release_tokens(&mut report);
+                Ok(report)
             }
         }
     }
@@ -479,23 +618,6 @@ impl Datapath {
         m.loads += report.loads;
         m.stores += report.stores;
         m.release_tokens += report.release_tokens;
-    }
-
-    /// Writes live register state back into specs (memory stream pointers
-    /// advance across runs). Exposed so the processor can persist state to
-    /// the bound objects.
-    pub fn specs(&self) -> impl Iterator<Item = &NodeSpec> {
-        self.nodes.iter().map(|n| &n.spec)
-    }
-
-    /// Writes register state produced by a batch run back into the node
-    /// specs, exactly as [`run`](Self::run) mutates them in place —
-    /// stream pointers must advance across runs on either path.
-    pub(crate) fn write_back_regs(&mut self, regs: &[[Word; PHYS_REGISTERS]]) {
-        debug_assert_eq!(regs.len(), self.nodes.len());
-        for (n, r) in self.nodes.iter_mut().zip(regs) {
-            n.spec.regs = *r;
-        }
     }
 }
 
@@ -756,8 +878,8 @@ mod tests {
         let r = dp.run(&mut mem, 10, 10_000).unwrap();
         assert_eq!(r.taps[&ObjectId(1)], vec![Word(105), Word(106), Word(107)]);
         // The stream pointer advanced past the consumed words.
-        let spec = dp.specs().find(|s| s.id == ObjectId(0)).unwrap();
-        assert_eq!(spec.regs[0], Word(8));
+        let (_, regs) = dp.regs().find(|(id, _)| *id == ObjectId(0)).unwrap();
+        assert_eq!(regs[0], Word(8));
     }
 
     #[test]

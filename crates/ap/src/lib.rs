@@ -18,14 +18,14 @@
 //!   fetch, request evaluation, request, acquirement) with object
 //!   cache-miss handling through the configuration buffers;
 //! * [`datapath`] — execution of a configured datapath: dataflow firing,
-//!   steering, memory load/store streams, and release tokens (§2.3);
+//!   steering, memory load/store streams, and release tokens (§2.3) —
+//!   the one engine, stored as flat struct-of-arrays slabs;
 //! * [`processor`] — [`AdaptiveProcessor`], gluing the above to the object
 //!   library and memory blocks, including virtual hardware (swap-in/out,
 //!   §2.5);
-//! * [`soa`] — struct-of-arrays batch execution: a datapath flattened
-//!   into a [`SoaLane`] of parallel slabs so a region executor can
-//!   advance many APs in one cache-friendly sweep per tick, bit-identical
-//!   to the per-AP path;
+//! * [`soa`] — [`SoaLane`], the resident datapath and memory blocks of
+//!   one AP moved out (not copied) for the duration of a region sweep,
+//!   so an executor can advance many APs per tick on several threads;
 //! * [`metrics`] — counters every layer reports into.
 
 #![deny(missing_docs)]

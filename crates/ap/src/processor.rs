@@ -18,7 +18,7 @@
 //!   the paper's virtual hardware: "An unused object should be swapped out
 //!   to a memory block to make room for a newly requested object(s)."
 
-use crate::datapath::{Datapath, ExecutionReport, NodeSpec};
+use crate::datapath::{offset_addr, Datapath, ExecutionReport, NodeSpec};
 use crate::error::ApError;
 use crate::metrics::ApMetrics;
 use crate::pipeline::{ConfigureOutcome, Pipeline, TraceEvent, CFB_COUNT, STAGES};
@@ -123,7 +123,10 @@ struct ResidentDatapath {
     /// `Arc` in on every reconfigure instead of deep-copying the
     /// stream's elements each time.
     stream: Arc<GlobalConfigStream>,
-    dp: Datapath,
+    /// `None` only while a [`SoaLane`] holds it
+    /// ([`begin_batch_at`](AdaptiveProcessor::begin_batch_at) to
+    /// [`finish_batch`](AdaptiveProcessor::finish_batch)).
+    dp: Option<Datapath>,
     routes: Vec<vlsi_csd::RouteId>,
 }
 
@@ -271,7 +274,7 @@ impl AdaptiveProcessor {
         let dp = self.build_datapath(&stream)?;
         self.datapaths.push(ResidentDatapath {
             stream,
-            dp,
+            dp: Some(dp),
             routes: outcome.route_ids.clone(),
         });
         for i in 0..self.datapaths.len() - 1 {
@@ -279,7 +282,7 @@ impl AdaptiveProcessor {
             let re = self.configure_one(&s, &memory_ids)?;
             let dp = self.build_datapath(&s)?;
             self.datapaths[i].routes = re.route_ids.clone();
-            self.datapaths[i].dp = dp;
+            self.datapaths[i].dp = Some(dp);
         }
         Ok(outcome)
     }
@@ -400,18 +403,34 @@ impl AdaptiveProcessor {
         tap_limit: u64,
         max_cycles: u64,
     ) -> Result<ExecutionReport, ApError> {
-        let Some(resident) = self.datapaths.get_mut(index) else {
+        let Some(dp) = self.datapaths.get_mut(index).and_then(|r| r.dp.as_mut()) else {
             return Err(ApError::EmptyDatapath);
         };
-        let report = resident.dp.run(&mut self.memory, tap_limit, max_cycles)?;
-        // Persist advanced register state (stream pointers) back into the
-        // bound objects so a later swap-out writes it to the library.
-        let specs: Vec<NodeSpec> = resident.dp.specs().cloned().collect();
-        for spec in specs {
-            if let Some(b) = self.stack.get_mut(spec.id) {
-                b.regs = spec.regs;
-            } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == spec.id) {
-                b.regs = spec.regs;
+        let outcome = dp.run(&mut self.memory, tap_limit, max_cycles);
+        self.settle(index, outcome)
+    }
+
+    /// Bookkeeping after a run of resident datapath `index`, shared by
+    /// [`execute_datapath`](Self::execute_datapath) and
+    /// [`finish_batch`](Self::finish_batch): advanced register state
+    /// (stream pointers) is persisted into the bound objects so a later
+    /// swap-out writes it to the library, and the report folds into the
+    /// metrics. A failed run persists and folds nothing — the datapath
+    /// keeps whatever registers it reached.
+    fn settle(
+        &mut self,
+        index: usize,
+        outcome: Result<ExecutionReport, ApError>,
+    ) -> Result<ExecutionReport, ApError> {
+        let report = outcome?;
+        let Some(dp) = self.datapaths.get(index).and_then(|r| r.dp.as_ref()) else {
+            return Err(ApError::EmptyDatapath);
+        };
+        for (id, regs) in dp.regs() {
+            if let Some(b) = self.stack.get_mut(id) {
+                b.regs = *regs;
+            } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == id) {
+                b.regs = *regs;
             }
         }
         Datapath::report_metrics(&report, &mut self.metrics);
@@ -419,10 +438,9 @@ impl AdaptiveProcessor {
     }
 
     /// Detaches the most recently configured datapath (plus this AP's
-    /// memory blocks) into a [`SoaLane`] for struct-of-arrays batch
-    /// execution. The lane must come back through
-    /// [`finish_batch`](Self::finish_batch) — until then the AP has no
-    /// memory and must not execute.
+    /// memory blocks) into a [`SoaLane`] for a region sweep. The lane
+    /// must come back through [`finish_batch`](Self::finish_batch) —
+    /// until then the AP has no memory and must not execute.
     pub fn begin_batch(&mut self) -> Result<SoaLane, ApError> {
         if self.datapaths.is_empty() {
             return Err(ApError::EmptyDatapath);
@@ -431,43 +449,35 @@ impl AdaptiveProcessor {
     }
 
     /// Detaches resident datapath `index` (configuration order) into a
-    /// [`SoaLane`] — see [`begin_batch`](Self::begin_batch).
+    /// [`SoaLane`] — see [`begin_batch`](Self::begin_batch). Both the
+    /// datapath and the memory blocks are moved, not copied.
     pub fn begin_batch_at(&mut self, index: usize) -> Result<SoaLane, ApError> {
-        let Some(resident) = self.datapaths.get(index) else {
+        let Some(dp) = self.datapaths.get_mut(index).and_then(|r| r.dp.take()) else {
             return Err(ApError::EmptyDatapath);
         };
-        let mut lane = SoaLane::from_datapath(&resident.dp, index);
-        lane.attach_memory(std::mem::take(&mut self.memory));
-        Ok(lane)
+        Ok(SoaLane {
+            datapath_index: index,
+            dp,
+            memory: std::mem::take(&mut self.memory),
+        })
     }
 
-    /// Reattaches a completed [`SoaLane`]: memory comes home, advanced
-    /// register state (stream pointers) is written back into the
-    /// datapath and persisted to the bound objects, and metrics fold in
-    /// — exactly the bookkeeping [`execute_datapath`](Self::execute_datapath)
-    /// does after a per-AP run. On a failed lane the register write-back
-    /// into the datapath still happens (the per-AP path mutates specs in
-    /// place as it runs) but nothing is persisted and no metrics fold,
-    /// matching the early-return error path.
+    /// Reattaches a swept [`SoaLane`]: the datapath and the memory come
+    /// home, then the same bookkeeping as after
+    /// [`execute_datapath`](Self::execute_datapath).
     pub fn finish_batch(&mut self, lane: SoaLane) -> Result<ExecutionReport, ApError> {
-        let index = lane.datapath_index;
-        let (memory, regs, outcome) = lane.finish();
+        let SoaLane {
+            datapath_index: index,
+            mut dp,
+            memory,
+        } = lane;
         self.memory = memory;
+        let outcome = dp.finish();
         let Some(resident) = self.datapaths.get_mut(index) else {
             return Err(ApError::EmptyDatapath);
         };
-        resident.dp.write_back_regs(&regs);
-        let report = outcome?;
-        let specs: Vec<NodeSpec> = resident.dp.specs().cloned().collect();
-        for spec in specs {
-            if let Some(b) = self.stack.get_mut(spec.id) {
-                b.regs = spec.regs;
-            } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == spec.id) {
-                b.regs = spec.regs;
-            }
-        }
-        Datapath::report_metrics(&report, &mut self.metrics);
-        Ok(report)
+        resident.dp = Some(dp);
+        self.settle(index, outcome)
     }
 
     /// Releases all configured datapaths: every chain is torn down and the
@@ -568,10 +578,10 @@ impl AdaptiveProcessor {
                         .ok_or(ApError::UndefinedSource(e.sink))?;
                     let block = b.regs[1].as_u64() as usize;
                     let addr = if e.src_lhs.is_some() {
-                        b.regs[0].as_u64() + lhs.as_u64()
+                        offset_addr(b.regs[0].as_u64(), lhs.as_u64())?
                     } else {
                         let a = b.regs[0].as_u64();
-                        b.regs[0] = Word(a + 1);
+                        b.regs[0] = Word(offset_addr(a, 1)?);
                         a
                     };
                     let mem = self
@@ -592,7 +602,7 @@ impl AdaptiveProcessor {
                         lhs.as_u64()
                     } else {
                         let a = b.regs[0].as_u64();
-                        b.regs[0] = Word(a + 1);
+                        b.regs[0] = Word(offset_addr(a, 1)?);
                         a
                     };
                     let mem = self
@@ -605,6 +615,11 @@ impl AdaptiveProcessor {
                 }
                 Operation::SteerTrue => pred.as_bool().then_some(lhs),
                 Operation::SteerFalse => (!pred.as_bool()).then_some(lhs),
+                // Only the taken arm of a steered pair produced a token.
+                Operation::Merge => [e.src_lhs, e.src_rhs]
+                    .into_iter()
+                    .flatten()
+                    .find_map(|id| values.get(&id).copied()),
                 op => op.eval(lhs, rhs, imm),
             };
             self.metrics.firings += 1;

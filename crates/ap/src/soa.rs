@@ -1,679 +1,39 @@
-//! Struct-of-arrays batch execution of datapaths.
+//! The lane: one AP's share of a struct-of-arrays region sweep.
 //!
-//! [`Datapath::run`] advances one datapath by pointer-chasing through a
-//! `Vec` of node structs — fine for a single AP, but a whole region of
-//! APs advanced that way is a cache-miss festival: every field of every
-//! node of every AP lives in its own cache line neighbourhood. A
-//! [`SoaLane`] is the same datapath flattened into parallel arrays
-//! (ops, immediates, registers, latches, in-flight slots, output
-//! latches, production counters) plus a CSR successor list, so one
-//! cycle of one AP touches a handful of dense arrays front to back. A
-//! region executor owns many lanes and sweeps each one to completion
-//! while its slabs are cache-hot ([`SoaLane::step`]), while irregular
-//! work — memory streams, steering, merges — runs through the same
-//! per-op match the per-AP path uses.
+//! A region executor advances many APs in one sweep, possibly on several
+//! threads, so each AP's executable state has to leave the chip's
+//! processor table for the duration. A [`SoaLane`] is that state and
+//! nothing more: the resident [`Datapath`] (already flat slabs — see
+//! [`datapath`](crate::datapath)) and the AP's memory blocks, both
+//! *moved* out by [`AdaptiveProcessor::begin_batch_at`] and moved back by
+//! [`AdaptiveProcessor::finish_batch`]. Nothing is copied or allocated on
+//! either side, and the sweep drives the same
+//! [`Datapath::step`] a single `execute` does.
 //!
-//! **Determinism contract:** a lane replicates [`Datapath::run`]
-//! bit-for-bit — the same phase order (deliver, retire, fire), the same
-//! node-index iteration order, the same tap-limit and exhaustion
-//! semantics, the same release-token propagation. `execute` via the
-//! per-AP path and `execute_batch` via lanes must produce byte-identical
-//! reports, telemetry, and memory images; the ci.sh equivalence gate
-//! holds both paths to that.
+//! [`AdaptiveProcessor::begin_batch_at`]: crate::processor::AdaptiveProcessor::begin_batch_at
+//! [`AdaptiveProcessor::finish_batch`]: crate::processor::AdaptiveProcessor::finish_batch
 
-use crate::datapath::{Datapath, ExecutionReport, LHS, PRED, RHS};
-use crate::error::ApError;
-use std::collections::HashMap;
-use vlsi_object::{MemoryBlock, ObjectId, Operation, Word, PHYS_REGISTERS};
+use crate::datapath::Datapath;
+use vlsi_object::MemoryBlock;
 
-/// Sentinel for "nothing in flight" in the latency countdown slab
-/// (`Operation::latency` is tiny; real countdowns never reach this).
-const IDLE: u32 = u32::MAX;
-
-/// Where a lane is in its run.
-#[derive(Clone, Debug)]
-enum LaneStatus {
-    /// `start` not called yet.
-    Pending,
-    /// Mid-run: more cycles to simulate.
-    Running,
-    /// Reached quiescence; report is ready.
-    Drained,
-    /// Hit a typed error (memory fault or cycle-budget timeout).
-    Failed(ApError),
-}
-
-/// One datapath flattened into struct-of-arrays form, owning the AP's
-/// memory blocks for the duration of the batch.
-///
-/// Built by [`AdaptiveProcessor::begin_batch`]; advanced by a region
-/// executor via [`start`](Self::start) + [`step`](Self::step) (or
-/// [`run_to_completion`](Self::run_to_completion)); dissolved back into
-/// the AP by [`AdaptiveProcessor::finish_batch`].
-///
-/// [`AdaptiveProcessor::begin_batch`]: crate::processor::AdaptiveProcessor::begin_batch
-/// [`AdaptiveProcessor::finish_batch`]: crate::processor::AdaptiveProcessor::finish_batch
+/// One AP's resident datapath and memory blocks, detached for a batch.
 #[derive(Clone, Debug)]
 pub struct SoaLane {
     /// Which resident datapath this lane was detached from.
     pub(crate) datapath_index: usize,
-    // Static structure, parallel over node index.
-    ids: Vec<ObjectId>,
-    ops: Vec<Operation>,
-    imms: Vec<Word>,
-    regs: Vec<[Word; PHYS_REGISTERS]>,
-    /// Which input ports are wired (for stream detection and release
-    /// pending counts).
-    has_src: Vec<[bool; 3]>,
-    /// CSR successor offsets, `nodes + 1` entries.
-    succ_start: Vec<u32>,
-    /// CSR successor payload: `(node index, port)`.
-    succ_list: Vec<(u32, u8)>,
-    /// Successor-less compute nodes whose outputs the report collects.
-    is_tap: Vec<bool>,
-    // Transient dataflow state, parallel over node index.
-    inputs: Vec<[Option<Word>; 3]>,
-    inflight_rem: Vec<u32>,
-    inflight_val: Vec<Option<Word>>,
-    out: Vec<Option<Word>>,
-    produced: Vec<u64>,
-    exhausted: Vec<bool>,
-    // Report accumulation.
-    tap_vals: Vec<Vec<Word>>,
-    node_firings: Vec<u64>,
-    firings: u64,
-    loads: u64,
-    stores: u64,
-    cycles: u64,
-    // Run control.
-    tap_limit: u64,
-    max_cycles: u64,
-    memory: Vec<MemoryBlock>,
-    status: LaneStatus,
+    pub(crate) dp: Datapath,
+    pub(crate) memory: Vec<MemoryBlock>,
 }
 
 impl SoaLane {
-    /// Flattens `dp`'s static structure and current register state into
-    /// a lane. Transient dataflow state starts cleared, exactly as
-    /// [`Datapath::run`] clears it on entry.
-    pub(crate) fn from_datapath(dp: &Datapath, datapath_index: usize) -> SoaLane {
-        let n = dp.nodes.len();
-        let mut lane = SoaLane {
-            datapath_index,
-            ids: Vec::with_capacity(n),
-            ops: Vec::with_capacity(n),
-            imms: Vec::with_capacity(n),
-            regs: Vec::with_capacity(n),
-            has_src: Vec::with_capacity(n),
-            succ_start: Vec::with_capacity(n + 1),
-            succ_list: Vec::new(),
-            is_tap: Vec::with_capacity(n),
-            inputs: vec![[None; 3]; n],
-            inflight_rem: vec![IDLE; n],
-            inflight_val: vec![None; n],
-            out: vec![None; n],
-            produced: vec![0; n],
-            exhausted: vec![false; n],
-            tap_vals: vec![Vec::new(); n],
-            node_firings: vec![0; n],
-            firings: 0,
-            loads: 0,
-            stores: 0,
-            cycles: 0,
-            tap_limit: 0,
-            max_cycles: 0,
-            memory: Vec::new(),
-            status: LaneStatus::Pending,
-        };
-        for node in &dp.nodes {
-            lane.ids.push(node.spec.id);
-            lane.ops.push(node.spec.cfg.op);
-            lane.imms.push(node.spec.cfg.imm);
-            lane.regs.push(node.spec.regs);
-            lane.has_src.push([
-                node.srcs[LHS].is_some(),
-                node.srcs[RHS].is_some(),
-                node.srcs[PRED].is_some(),
-            ]);
-            lane.succ_start.push(lane.succ_list.len() as u32);
-            for &(s, p) in &node.succs {
-                lane.succ_list.push((s as u32, p as u8));
-            }
-            lane.is_tap
-                .push(node.succs.is_empty() && !node.spec.cfg.op.is_memory_op());
-        }
-        lane.succ_start.push(lane.succ_list.len() as u32);
-        lane
-    }
-
-    /// Hands this lane the AP's memory blocks for the batch.
-    pub(crate) fn attach_memory(&mut self, memory: Vec<MemoryBlock>) {
-        self.memory = memory;
-    }
-
-    /// Nodes in the lane.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the lane has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Arms the run: `tap_limit` bounds values collected per tap,
-    /// `max_cycles` bounds simulation — the same knobs as
-    /// [`Datapath::run`]. A zero cycle budget fails immediately, as the
-    /// per-AP path does.
+    /// Arms the run — see [`Datapath::start`].
     pub fn start(&mut self, tap_limit: u64, max_cycles: u64) {
-        self.tap_limit = tap_limit;
-        self.max_cycles = max_cycles;
-        self.status = if max_cycles == 0 {
-            LaneStatus::Failed(ApError::ExecutionTimeout { cycles: 0 })
-        } else {
-            LaneStatus::Running
-        };
+        self.dp.start(tap_limit, max_cycles);
     }
 
-    /// Whether the lane still has cycles to simulate.
-    pub fn is_running(&self) -> bool {
-        matches!(self.status, LaneStatus::Running)
-    }
-
-    /// Simulates one cycle: deliver outputs, retire in-flight
-    /// operations, fire ready nodes — the exact phase structure of
-    /// [`Datapath::run`]. Returns whether the lane is still running.
+    /// Simulates one cycle — see [`Datapath::step`]. Returns whether the
+    /// lane still has cycles to simulate.
     pub fn step(&mut self) -> bool {
-        if !self.is_running() {
-            return false;
-        }
-        let mut activity = false;
-
-        // Phase 1: deliver outputs to successor latches (broadcast with
-        // backpressure: the output clears only when all successors have
-        // accepted).
-        for i in 0..self.out.len() {
-            let Some(v) = self.out[i] else { continue };
-            let lo = self.succ_start[i] as usize;
-            let hi = self.succ_start[i + 1] as usize;
-            if lo == hi {
-                // A tap: collect. (Successor-less memory nodes drop the
-                // value — only taps have collection vectors, mirroring
-                // the per-AP path's tap map.)
-                if self.is_tap[i] && (self.tap_vals[i].len() as u64) < self.tap_limit {
-                    self.tap_vals[i].push(v);
-                    activity = true;
-                }
-                self.out[i] = None;
-                self.produced[i] += 1;
-                continue;
-            }
-            let (succ_list, inputs) = (&self.succ_list, &mut self.inputs);
-            let all_free = succ_list[lo..hi]
-                .iter()
-                .all(|&(s, p)| inputs[s as usize][p as usize].is_none());
-            if all_free {
-                for &(s, p) in &succ_list[lo..hi] {
-                    inputs[s as usize][p as usize] = Some(v);
-                }
-                self.out[i] = None;
-                self.produced[i] += 1;
-                activity = true;
-            }
-        }
-
-        // Phase 2: retire in-flight operations whose latency elapsed.
-        for i in 0..self.inflight_rem.len() {
-            let rem = self.inflight_rem[i];
-            if rem == IDLE {
-                continue;
-            }
-            if rem <= 1 {
-                self.inflight_rem[i] = IDLE;
-                if let Some(v) = self.inflight_val[i].take() {
-                    debug_assert!(self.out[i].is_none());
-                    self.out[i] = Some(v);
-                }
-                activity = true;
-            } else {
-                self.inflight_rem[i] = rem - 1;
-                activity = true;
-            }
-        }
-
-        // Phase 3: fire ready nodes, in node-index order.
-        for i in 0..self.ids.len() {
-            match self.try_fire(i) {
-                Ok(true) => {
-                    self.node_firings[i] += 1;
-                    activity = true;
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    self.status = LaneStatus::Failed(e);
-                    return false;
-                }
-            }
-        }
-
-        self.cycles += 1;
-        if !activity {
-            self.status = LaneStatus::Drained;
-            return false;
-        }
-        if self.cycles >= self.max_cycles {
-            // The cycle budget elapsed with work still in flight.
-            self.status = LaneStatus::Failed(ApError::ExecutionTimeout {
-                cycles: self.cycles,
-            });
-            return false;
-        }
-        true
-    }
-
-    /// Runs the lane until it drains or fails — the lane-major
-    /// convenience used by tests and the per-stripe sweep tail.
-    pub fn run_to_completion(&mut self, tap_limit: u64, max_cycles: u64) {
-        self.start(tap_limit, max_cycles);
-        while self.step() {}
-    }
-
-    fn is_stream(&self, i: usize) -> bool {
-        !self.has_src[i][LHS]
-    }
-
-    fn set_inflight(&mut self, i: usize, latency: u32, v: Word) {
-        self.inflight_rem[i] = latency;
-        self.inflight_val[i] = Some(v);
-    }
-
-    /// Attempts to fire node `i` — the per-op match of
-    /// [`Datapath::run`]'s `try_fire`, verbatim in semantics.
-    fn try_fire(&mut self, i: usize) -> Result<bool, ApError> {
-        if self.inflight_rem[i] != IDLE || self.out[i].is_some() || self.exhausted[i] {
-            return Ok(false);
-        }
-        let op = self.ops[i];
-        let imm = self.imms[i];
-        match op {
-            Operation::Const => {
-                // A constant regenerates whenever downstream consumed
-                // it, up to its stream limit (regs[2]; 0 = one-shot).
-                let limit = self.regs[i][2].as_u64().max(1);
-                if self.produced[i] >= limit {
-                    self.exhausted[i] = true;
-                    return Ok(false);
-                }
-                self.set_inflight(i, op.latency(), imm);
-                self.firings += 1;
-                Ok(true)
-            }
-            Operation::Load => {
-                if self.is_stream(i) {
-                    let limit = self.regs[i][2].as_u64();
-                    if limit != 0 && self.produced[i] >= limit {
-                        self.exhausted[i] = true;
-                        return Ok(false);
-                    }
-                    let block = self.regs[i][1].as_u64() as usize;
-                    let addr = self.regs[i][0].as_u64();
-                    let mem = self
-                        .memory
-                        .get_mut(block)
-                        .ok_or(ApError::UndefinedSource(self.ids[i]))?;
-                    let v = mem.load(addr)?;
-                    self.regs[i][0] = Word(addr + 1);
-                    self.set_inflight(i, op.latency(), v);
-                    self.loads += 1;
-                    self.firings += 1;
-                    Ok(true)
-                } else {
-                    // Addressed load: wait for the address token.
-                    let Some(addr_tok) = self.inputs[i][LHS] else {
-                        return Ok(false);
-                    };
-                    self.inputs[i][LHS] = None;
-                    let block = self.regs[i][1].as_u64() as usize;
-                    let base = self.regs[i][0].as_u64();
-                    let mem = self
-                        .memory
-                        .get_mut(block)
-                        .ok_or(ApError::UndefinedSource(self.ids[i]))?;
-                    let v = mem.load(base + addr_tok.as_u64())?;
-                    self.set_inflight(i, op.latency(), v);
-                    self.loads += 1;
-                    self.firings += 1;
-                    Ok(true)
-                }
-            }
-            Operation::Store => {
-                let Some(data) = self.inputs[i][RHS] else {
-                    return Ok(false);
-                };
-                let addr = if self.is_stream(i) {
-                    let a = self.regs[i][0].as_u64();
-                    self.regs[i][0] = Word(a + 1);
-                    a
-                } else {
-                    let Some(addr_tok) = self.inputs[i][LHS] else {
-                        return Ok(false);
-                    };
-                    self.inputs[i][LHS] = None;
-                    addr_tok.as_u64()
-                };
-                self.inputs[i][RHS] = None;
-                let block = self.regs[i][1].as_u64() as usize;
-                let mem = self
-                    .memory
-                    .get_mut(block)
-                    .ok_or(ApError::UndefinedSource(self.ids[i]))?;
-                mem.store(addr, data)?;
-                // Stores produce no token; model latency as instant
-                // retire.
-                self.produced[i] += 1;
-                self.stores += 1;
-                self.firings += 1;
-                Ok(true)
-            }
-            Operation::SteerTrue | Operation::SteerFalse => {
-                let (Some(v), Some(p)) = (self.inputs[i][LHS], self.inputs[i][PRED]) else {
-                    return Ok(false);
-                };
-                self.inputs[i][LHS] = None;
-                self.inputs[i][PRED] = None;
-                let pass = p.as_bool() == (op == Operation::SteerTrue);
-                self.firings += 1;
-                if pass {
-                    self.set_inflight(i, op.latency(), v);
-                } else {
-                    // Token consumed silently; the arm stays dark.
-                }
-                Ok(true)
-            }
-            Operation::Merge => {
-                let port = if self.inputs[i][LHS].is_some() {
-                    LHS
-                } else if self.inputs[i][RHS].is_some() {
-                    RHS
-                } else {
-                    return Ok(false);
-                };
-                let v = self.inputs[i][port].take().unwrap();
-                self.set_inflight(i, op.latency(), v);
-                self.firings += 1;
-                Ok(true)
-            }
-            _ => {
-                // Plain value operation: all declared ports must hold
-                // tokens.
-                let arity = op.arity();
-                let need_lhs = arity >= 1;
-                let need_rhs = arity >= 2;
-                if (need_lhs && self.inputs[i][LHS].is_none())
-                    || (need_rhs && self.inputs[i][RHS].is_none())
-                {
-                    return Ok(false);
-                }
-                let lhs = if need_lhs {
-                    self.inputs[i][LHS].take().unwrap()
-                } else {
-                    Word::ZERO
-                };
-                let rhs = if need_rhs {
-                    self.inputs[i][RHS].take().unwrap()
-                } else {
-                    Word::ZERO
-                };
-                let result = op
-                    .eval(lhs, rhs, imm)
-                    .expect("context-free operation must evaluate");
-                self.set_inflight(i, op.latency(), result);
-                self.firings += 1;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Propagates release tokens from the sources through the CSR
-    /// graph — the same topological walk as the per-AP path, with nodes
-    /// on cycles force-released at the end.
-    fn fire_release_tokens(&self, report: &mut ExecutionReport) {
-        let n = self.ids.len();
-        let mut pending: Vec<usize> = self
-            .has_src
-            .iter()
-            .map(|srcs| srcs.iter().filter(|&&s| s).count())
-            .collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
-        let mut head = 0;
-        while head < queue.len() {
-            let i = queue[head];
-            head += 1;
-            report.release_order.push(self.ids[i]);
-            report.release_tokens += 1;
-            let lo = self.succ_start[i] as usize;
-            let hi = self.succ_start[i + 1] as usize;
-            for &(s, _) in &self.succ_list[lo..hi] {
-                // One token per edge.
-                report.release_tokens += 1;
-                pending[s as usize] -= 1;
-                if pending[s as usize] == 0 {
-                    queue.push(s as usize);
-                }
-            }
-        }
-        for (i, &p) in pending.iter().enumerate() {
-            if p > 0 {
-                report.release_order.push(self.ids[i]);
-            }
-        }
-    }
-
-    /// Dissolves the lane: returns the AP's memory, the advanced
-    /// register state (node order), and the run outcome as an
-    /// [`ExecutionReport`] identical to what [`Datapath::run`] would
-    /// have produced.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn finish(
-        mut self,
-    ) -> (
-        Vec<MemoryBlock>,
-        Vec<[Word; PHYS_REGISTERS]>,
-        Result<ExecutionReport, ApError>,
-    ) {
-        let memory = std::mem::take(&mut self.memory);
-        let regs = std::mem::take(&mut self.regs);
-        let outcome = match &self.status {
-            LaneStatus::Pending | LaneStatus::Running => Err(ApError::ExecutionTimeout {
-                cycles: self.cycles,
-            }),
-            LaneStatus::Failed(e) => Err(e.clone()),
-            LaneStatus::Drained => {
-                let mut report = ExecutionReport {
-                    cycles: self.cycles,
-                    firings: self.firings,
-                    loads: self.loads,
-                    stores: self.stores,
-                    taps: HashMap::new(),
-                    node_firings: HashMap::new(),
-                    drained: true,
-                    release_tokens: 0,
-                    release_order: Vec::new(),
-                };
-                for i in 0..self.ids.len() {
-                    if self.is_tap[i] {
-                        report
-                            .taps
-                            .insert(self.ids[i], std::mem::take(&mut self.tap_vals[i]));
-                    }
-                    if self.node_firings[i] > 0 {
-                        report
-                            .node_firings
-                            .insert(self.ids[i], self.node_firings[i]);
-                    }
-                }
-                self.fire_release_tokens(&mut report);
-                Ok(report)
-            }
-        };
-        (memory, regs, outcome)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::datapath::NodeSpec;
-    use vlsi_object::{GlobalConfigElement, GlobalConfigStream, LocalConfig, ObjectKind};
-
-    fn compute_spec(id: u32, op: Operation, imm: u64) -> NodeSpec {
-        NodeSpec {
-            id: ObjectId(id),
-            cfg: LocalConfig::with_imm(op, Word(imm)),
-            kind: ObjectKind::Compute,
-            regs: [Word::ZERO; PHYS_REGISTERS],
-        }
-    }
-
-    fn mem_spec(id: u32, op: Operation, base: u64, block: u64, len: u64) -> NodeSpec {
-        let mut regs = [Word::ZERO; PHYS_REGISTERS];
-        regs[0] = Word(base);
-        regs[1] = Word(block);
-        regs[2] = Word(len);
-        NodeSpec {
-            id: ObjectId(id),
-            cfg: LocalConfig::op(op),
-            kind: ObjectKind::Memory,
-            regs,
-        }
-    }
-
-    /// Runs the same datapath through `Datapath::run` and through a
-    /// lane; every report field and the memory image must match
-    /// exactly.
-    fn assert_equivalent(
-        stream: &GlobalConfigStream,
-        resolve: impl FnMut(ObjectId) -> Option<NodeSpec> + Clone,
-        mem_init: &[(u64, u64)],
-        tap_limit: u64,
-    ) {
-        let mut dp_serial = Datapath::build(stream, resolve.clone()).unwrap();
-        let mut mem_serial = vec![MemoryBlock::new()];
-        for &(a, v) in mem_init {
-            mem_serial[0].store(a, Word(v)).unwrap();
-        }
-        let serial = dp_serial.run(&mut mem_serial, tap_limit, 10_000).unwrap();
-
-        let dp_batch = Datapath::build(stream, resolve).unwrap();
-        let mut lane = SoaLane::from_datapath(&dp_batch, 0);
-        let mut mem_batch = vec![MemoryBlock::new()];
-        for &(a, v) in mem_init {
-            mem_batch[0].store(a, Word(v)).unwrap();
-        }
-        lane.attach_memory(mem_batch);
-        lane.run_to_completion(tap_limit, 10_000);
-        let (mem_batch, regs, outcome) = lane.finish();
-        let batch = outcome.unwrap();
-
-        assert_eq!(serial.cycles, batch.cycles, "cycles");
-        assert_eq!(serial.firings, batch.firings, "firings");
-        assert_eq!(serial.loads, batch.loads, "loads");
-        assert_eq!(serial.stores, batch.stores, "stores");
-        assert_eq!(serial.taps, batch.taps, "taps");
-        assert_eq!(serial.node_firings, batch.node_firings, "node firings");
-        assert_eq!(serial.drained, batch.drained, "drained");
-        assert_eq!(serial.release_tokens, batch.release_tokens, "tokens");
-        assert_eq!(serial.release_order, batch.release_order, "release order");
-        for (i, spec) in dp_serial.specs().enumerate() {
-            assert_eq!(spec.regs, regs[i], "regs of node {i}");
-        }
-        for a in 0..256u64 {
-            assert_eq!(
-                mem_serial[0].peek(a).ok(),
-                mem_batch[0].peek(a).ok(),
-                "memory at {a}"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_matches_per_ap_on_stream_kernel() {
-        // load(8) -> mul -> store: the memory-stream shape.
-        let stream: GlobalConfigStream = [
-            GlobalConfigElement::unary(ObjectId(1), ObjectId(0)),
-            GlobalConfigElement {
-                sink: ObjectId(2),
-                src_lhs: None,
-                src_rhs: Some(ObjectId(1)),
-                src_pred: None,
-            },
-        ]
-        .into_iter()
-        .collect();
-        let resolve = |id: ObjectId| match id.0 {
-            0 => Some(mem_spec(0, Operation::Load, 0, 0, 8)),
-            1 => Some(compute_spec(1, Operation::MulImm, 3)),
-            2 => Some(mem_spec(2, Operation::Store, 100, 0, 0)),
-            _ => None,
-        };
-        let init: Vec<(u64, u64)> = (0..8).map(|i| (i, i + 1)).collect();
-        assert_equivalent(&stream, resolve, &init, 0);
-    }
-
-    #[test]
-    fn lane_matches_per_ap_on_steered_kernel() {
-        // The Figure-7 conditional: steering, merge, fan-out, taps.
-        let stream: GlobalConfigStream = [
-            GlobalConfigElement::binary(ObjectId(2), ObjectId(0), ObjectId(1)),
-            GlobalConfigElement::unary(ObjectId(3), ObjectId(0)).with_pred(ObjectId(2)),
-            GlobalConfigElement::unary(ObjectId(4), ObjectId(1)).with_pred(ObjectId(2)),
-            GlobalConfigElement::unary(ObjectId(5), ObjectId(3)),
-            GlobalConfigElement::unary(ObjectId(6), ObjectId(4)),
-            GlobalConfigElement::binary(ObjectId(7), ObjectId(5), ObjectId(6)),
-        ]
-        .into_iter()
-        .collect();
-        for (x, y) in [(9u64, 4u64), (2, 5)] {
-            let resolve = move |id: ObjectId| match id.0 {
-                0 => Some(compute_spec(0, Operation::Const, x)),
-                1 => Some(compute_spec(1, Operation::Const, y)),
-                2 => Some(compute_spec(2, Operation::ICmpGt, 0)),
-                3 => Some(compute_spec(3, Operation::SteerTrue, 0)),
-                4 => Some(compute_spec(4, Operation::SteerFalse, 0)),
-                5 => Some(compute_spec(5, Operation::AddImm, 1)),
-                6 => Some(compute_spec(6, Operation::AddImm, 2)),
-                7 => Some(compute_spec(7, Operation::Merge, 0)),
-                _ => None,
-            };
-            assert_equivalent(&stream, resolve, &[], 1);
-        }
-    }
-
-    #[test]
-    fn lane_times_out_like_the_per_ap_path() {
-        // An unbounded const stream into a tap with an enormous limit
-        // never drains inside a tiny budget: both paths must report the
-        // same typed timeout.
-        let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
-            .into_iter()
-            .collect();
-        let resolve = |id: ObjectId| match id.0 {
-            0 => {
-                let mut s = compute_spec(0, Operation::Const, 5);
-                s.regs[2] = Word(u64::MAX); // effectively unbounded
-                Some(s)
-            }
-            1 => Some(compute_spec(1, Operation::Pass, 0)),
-            _ => None,
-        };
-        let mut dp = Datapath::build(&stream, resolve).unwrap();
-        let mut mem: Vec<MemoryBlock> = Vec::new();
-        let serial = dp.run(&mut mem, u64::MAX, 50).unwrap_err();
-
-        let dp2 = Datapath::build(&stream, resolve).unwrap();
-        let mut lane = SoaLane::from_datapath(&dp2, 0);
-        lane.run_to_completion(u64::MAX, 50);
-        let (_, _, outcome) = lane.finish();
-        assert_eq!(serial, outcome.unwrap_err());
+        self.dp.step(&mut self.memory)
     }
 }

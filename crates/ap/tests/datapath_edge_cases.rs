@@ -3,8 +3,8 @@
 use vlsi_ap::datapath::{Datapath, NodeSpec};
 use vlsi_ap::ApError;
 use vlsi_object::{
-    GlobalConfigElement, GlobalConfigStream, LocalConfig, MemoryBlock, ObjectId, ObjectKind,
-    Operation, Word, PHYS_REGISTERS,
+    GlobalConfigElement, GlobalConfigStream, LocalConfig, MemoryBlock, ObjectError, ObjectId,
+    ObjectKind, Operation, Word, PHYS_REGISTERS,
 };
 
 fn compute(id: u32, op: Operation, imm: u64) -> NodeSpec {
@@ -149,6 +149,59 @@ fn load_past_the_block_end_errors() {
 }
 
 #[test]
+fn load_address_past_u64_max_errors_instead_of_wrapping() {
+    // 0 - 1 = u64::MAX arrives as the address token of a load whose base
+    // is 1: the sum wraps to word 0, a perfectly valid address holding
+    // the wrong data. It must be the typed out-of-range error instead.
+    let stream: GlobalConfigStream = [
+        GlobalConfigElement::binary(ObjectId(2), ObjectId(0), ObjectId(1)),
+        GlobalConfigElement::unary(ObjectId(3), ObjectId(2)),
+        GlobalConfigElement::unary(ObjectId(4), ObjectId(3)),
+    ]
+    .into_iter()
+    .collect();
+    let mut dp = Datapath::build(&stream, |id| match id.0 {
+        0 => Some(compute(0, Operation::Const, 0)),
+        1 => Some(compute(1, Operation::Const, 1)),
+        2 => Some(compute(2, Operation::ISub, 0)),
+        3 => Some(mem(3, Operation::Load, 1, 0, 0)),
+        4 => Some(compute(4, Operation::Pass, 0)),
+        _ => None,
+    })
+    .unwrap();
+    let mut memory = vec![MemoryBlock::new()];
+    memory[0].store(0, Word(0xBAD)).unwrap();
+    match dp.run(&mut memory, 1, 100_000) {
+        Err(ApError::Object(ObjectError::AddressOutOfRange { .. })) => {}
+        other => panic!("expected an address error, got {other:?}"),
+    }
+    // Stream pointers at the top of the address space fail the same way.
+    for op in [Operation::Load, Operation::Store] {
+        let stream: GlobalConfigStream = [match op {
+            Operation::Load => GlobalConfigElement::unary(ObjectId(1), ObjectId(0)),
+            _ => GlobalConfigElement {
+                sink: ObjectId(0),
+                src_lhs: None,
+                src_rhs: Some(ObjectId(1)),
+                src_pred: None,
+            },
+        }]
+        .into_iter()
+        .collect();
+        let mut dp = Datapath::build(&stream, |id| match id.0 {
+            0 => Some(mem(0, op, u64::MAX, 0, 2)),
+            1 => Some(compute(1, Operation::Const, 7)),
+            _ => None,
+        })
+        .unwrap();
+        match dp.run(&mut memory, 1, 100_000) {
+            Err(ApError::Object(ObjectError::AddressOutOfRange { .. })) => {}
+            other => panic!("{op}: expected an address error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn zero_cycle_budget_times_out() {
     let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
         .into_iter()
@@ -170,6 +223,33 @@ fn zero_cycle_budget_times_out() {
         dp.run(&mut memory, 1, 0),
         Err(ApError::ExecutionTimeout { cycles: 0 })
     ));
+}
+
+#[test]
+fn unbounded_stream_times_out_at_the_cycle_budget() {
+    // An effectively unbounded const stream into a tap with no limit
+    // never drains: the run stops at the budget with the typed timeout —
+    // and does so again on the same resident datapath, from cycle 0.
+    let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
+        .into_iter()
+        .collect();
+    let mut dp = Datapath::build(&stream, |id| match id.0 {
+        0 => {
+            let mut s = compute(0, Operation::Const, 5);
+            s.regs[2] = Word(u64::MAX);
+            Some(s)
+        }
+        1 => Some(compute(1, Operation::Pass, 0)),
+        _ => None,
+    })
+    .unwrap();
+    let mut memory = Vec::new();
+    for _ in 0..2 {
+        assert_eq!(
+            dp.run(&mut memory, u64::MAX, 50).unwrap_err(),
+            ApError::ExecutionTimeout { cycles: 50 }
+        );
+    }
 }
 
 #[test]

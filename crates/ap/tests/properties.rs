@@ -73,42 +73,80 @@ proptest! {
         }
     }
 
-    /// Streaming execution and scalar execution compute the same value for
-    /// a random linear chain of unary operations.
+    /// Streaming execution and scalar execution — two evaluators that
+    /// share no code — compute the same value at every tap of a
+    /// generated DAG: constants, a random mix of unary and binary
+    /// operations whose sources are any earlier nodes (so nodes fan out
+    /// to several consumers and several taps survive), then one
+    /// `SteerTrue`/`SteerFalse`/`Merge` diamond over three of those
+    /// nodes and a consumer of the merged value.
     #[test]
-    fn streaming_equals_scalar_on_chains(
-        seed_value in 0u64..1000,
-        ops in prop::collection::vec((0usize..4, 1u64..10), 1..10)
+    fn streaming_equals_scalar_on_dags(
+        consts in prop::collection::vec(0u64..1000, 2..4),
+        ops in prop::collection::vec((0usize..10, 0usize..64, 0usize..64, 1u64..10), 1..8),
+        diamond in (0usize..64, 0usize..64, 0usize..64, 0usize..64),
     ) {
         let unary = [Operation::AddImm, Operation::MulImm, Operation::INot, Operation::Pass];
-        // Build objects: 0 = const, i = unary op i.
-        let mut objects = vec![LogicalObject::compute(
-            ObjectId(0),
-            LocalConfig::with_imm(Operation::Const, Word(seed_value)),
-        )];
-        for (i, &(op_idx, imm)) in ops.iter().enumerate() {
+        let binary = [
+            Operation::IAdd, Operation::ISub, Operation::IMul,
+            Operation::IXor, Operation::IMin, Operation::ICmpLt,
+        ];
+        let mut objects: Vec<LogicalObject> = Vec::new();
+        let mut elements: Vec<GlobalConfigElement> = Vec::new();
+        let mut node = |op: Operation, imm: u64| {
             objects.push(LogicalObject::compute(
-                ObjectId(i as u32 + 1),
-                LocalConfig::with_imm(unary[op_idx], Word(imm)),
+                ObjectId(objects.len() as u32),
+                LocalConfig::with_imm(op, Word(imm)),
             ));
+            ObjectId(objects.len() as u32 - 1)
+        };
+        for &v in &consts {
+            node(Operation::Const, v);
         }
-        let stream: GlobalConfigStream = (1..=ops.len() as u32)
-            .map(|i| GlobalConfigElement::unary(ObjectId(i), ObjectId(i - 1)))
-            .collect();
-        let last = ObjectId(ops.len() as u32);
+        for &(op_idx, a, b, imm) in &ops {
+            // Sources are any of the nodes built so far.
+            let n = consts.len() + elements.len();
+            let (a, b) = (ObjectId((a % n) as u32), ObjectId((b % n) as u32));
+            if op_idx < unary.len() {
+                let sink = node(unary[op_idx], imm);
+                elements.push(GlobalConfigElement::unary(sink, a));
+            } else {
+                let sink = node(binary[op_idx - unary.len()], 0);
+                elements.push(GlobalConfigElement::binary(sink, a, b));
+            }
+        }
+        // if (p > q) merged = x else merged = y; out = merged + 1.
+        let n = consts.len() + ops.len();
+        let pick = |k: usize| ObjectId((k % n) as u32);
+        let (x, y, p, q) = (pick(diamond.0), pick(diamond.1), pick(diamond.2), pick(diamond.3));
+        let cmp = node(Operation::ICmpGt, 0);
+        let taken = node(Operation::SteerTrue, 0);
+        let other = node(Operation::SteerFalse, 0);
+        let merged = node(Operation::Merge, 0);
+        let out = node(Operation::AddImm, 1);
+        elements.extend([
+            GlobalConfigElement::binary(cmp, p, q),
+            GlobalConfigElement::unary(taken, x).with_pred(cmp),
+            GlobalConfigElement::unary(other, y).with_pred(cmp),
+            GlobalConfigElement::binary(merged, taken, other),
+            GlobalConfigElement::unary(out, merged),
+        ]);
+        let stream: GlobalConfigStream = elements.into_iter().collect();
 
-        // Streaming run.
-        let mut p1 = AdaptiveProcessor::new(ApConfig::default());
+        // Streaming run (channels to spare: routing is not under test).
+        let mut p1 = AdaptiveProcessor::new(ApConfig { channels: 64, ..ApConfig::default() });
         p1.install(objects.clone()).unwrap();
         p1.configure(stream.clone()).unwrap();
         let report = p1.execute(1, 1_000_000).unwrap();
-        let streamed = report.taps[&last][0];
 
         // Scalar run.
         let mut p2 = AdaptiveProcessor::new(ApConfig::default());
         p2.install(objects).unwrap();
         let values = p2.execute_scalar(&stream).unwrap();
-        prop_assert_eq!(streamed, values[&last]);
+        prop_assert!(report.taps.contains_key(&out));
+        for (tap, streamed) in &report.taps {
+            prop_assert_eq!(streamed, &vec![values[tap]], "tap {}", tap);
+        }
     }
 
     /// Configure → release → configure is stable: the second configuration

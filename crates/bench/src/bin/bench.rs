@@ -300,25 +300,15 @@ fn compile_samples(iters: u64, threads: usize) -> Vec<BenchSample> {
 }
 
 fn soa_samples(iters: u64, threads: usize) -> Vec<BenchSample> {
-    let mut perap_times = Vec::with_capacity(iters as usize);
     let mut soa_times = Vec::with_capacity(iters as usize);
     let mut last = None;
     for _ in 0..iters {
         let r = soa_sweep(threads, SOA_SWEEP_LANES, 64);
-        assert_eq!(
-            r.digest_perap, r.digest_soa,
-            "SoA region sweep must match the per-AP path bit for bit"
-        );
-        perap_times.push(r.perap_ns);
         soa_times.push(r.soa_ns);
         last = Some(r);
     }
     let r = last.expect("at least one iteration ran");
     let mut samples = Vec::new();
-    let mut s = sample_from_times("soa_sweep_1024ap_perap", perap_times);
-    s.extra.push(("lanes", r.lanes));
-    s.extra.push(("digest_fnv", r.digest_perap));
-    samples.push(s);
     let mut s = sample_from_times("soa_sweep_1024ap_soa", soa_times);
     s.extra.push(("threads", threads as u64));
     s.extra.push(("lanes", r.lanes));
@@ -428,7 +418,6 @@ fn digest(file: &str, threads: usize) {
          compile_corpus_12 completed {compile_completed}\n\
          compile_corpus_12 digest_fnv {compile_fnv:#018x}\n\
          soa_sweep_1024ap lanes {lanes}\n\
-         soa_sweep_1024ap digest_perap {digest_perap:#018x}\n\
          soa_sweep_1024ap digest_soa {digest_soa:#018x}\n\
          chaos_mix_128x128 event_log_fnv {chaos128_fnv:#018x}\n\
          staged_pipeline datasets {pipe_datasets}\n\
@@ -439,7 +428,6 @@ fn digest(file: &str, threads: usize) {
         ingest_completed = ingest.completed,
         ingest_fnv = ingest.digest_fnv,
         lanes = sweep.lanes,
-        digest_perap = sweep.digest_perap,
         digest_soa = sweep.digest_soa,
         pipe_datasets = pipe.graphs * pipe.datasets,
         digest_seq = pipe.digest_seq,
@@ -495,7 +483,8 @@ fn check(dir: &str, baseline_dir: &str, threshold: f64, fatal: bool) {
 /// was taken under a different seed (the numbers would not be
 /// comparable). A missing baseline file — or a sample name absent from
 /// the baseline — is a **new workload**, reported as such and never a
-/// regression: the first committed run establishes the baseline.
+/// regression: the first committed run establishes the baseline. A
+/// baseline sample absent from the fresh run is reported as `retired`.
 fn diff_against_baseline(fresh: &str, baseline_path: &str, threshold: f64) -> usize {
     let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
         println!(
@@ -507,11 +496,11 @@ fn diff_against_baseline(fresh: &str, baseline_path: &str, threshold: f64) -> us
     if parse_seed(&baseline) != parse_seed(fresh) {
         return 0;
     }
-    let old: std::collections::BTreeMap<String, u64> =
+    let mut old: std::collections::BTreeMap<String, u64> =
         parse_medians(&baseline).into_iter().collect();
     let mut regressions = 0;
     for (name, new_ns) in parse_medians(fresh) {
-        let Some(&old_ns) = old.get(&name) else {
+        let Some(old_ns) = old.remove(&name) else {
             println!("  new workload {name}: no baseline median, tracked from this run");
             continue;
         };
@@ -527,6 +516,11 @@ fn diff_against_baseline(fresh: &str, baseline_path: &str, threshold: f64) -> us
             );
             regressions += 1;
         }
+    }
+    // What is left in the baseline is a sample the fresh run no longer
+    // emits: say so, or a dropped workload vanishes without a trace.
+    for name in old.keys() {
+        println!("  retired: {name}");
     }
     regressions
 }

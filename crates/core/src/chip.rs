@@ -838,11 +838,11 @@ impl VlsiChip {
 
     /// Executes the most recently configured datapath of every
     /// processor in `ids` as one struct-of-arrays **region sweep**: each
-    /// AP is detached into a flat [`SoaLane`], the lanes are swept
-    /// lane-major (sharded into row stripes across the pool
-    /// attached via [`Self::set_region_parallel`]), and every AP gets
-    /// its memory, register state, and metrics back exactly as a
-    /// per-AP [`Self::execute`] loop would have left them.
+    /// AP's resident datapath and memory blocks are moved out into a
+    /// [`SoaLane`], the lanes are swept lane-major (sharded into row
+    /// stripes across the pool attached via
+    /// [`Self::set_region_parallel`]), and everything is moved back.
+    /// [`Self::execute`] is the same engine on a batch of one.
     ///
     /// Reports come back in `ids` order. All named processors must be
     /// distinct and active. If any lane fails (memory fault or cycle
@@ -870,7 +870,7 @@ impl VlsiChip {
                 }
             }
         }
-        // Detach every AP's datapath + memory into a lane.
+        // Move every AP's datapath + memory out into a lane.
         let mut lanes: Vec<SoaLane> = Vec::with_capacity(ids.len());
         for id in ids {
             match self.processor_mut(*id)?.ap.begin_batch() {
@@ -1321,28 +1321,138 @@ mod tests {
         (c, ids)
     }
 
+    /// Gathers `n` 2×2 processors, each streaming words from block 0
+    /// through a distinct multiplier into block 1 (four per run, stream
+    /// pointers advancing across runs) with a tap on the products.
+    fn stream_ready_chip(n: usize, threads: usize) -> (VlsiChip, Vec<ProcessorId>) {
+        use vlsi_object::{LocalConfig, Operation};
+        let mut c = chip();
+        if threads > 1 {
+            c.set_region_parallel(Pool::new(threads));
+        }
+        let mut ids = Vec::new();
+        for k in 0..n as u64 {
+            let id = c.gather_any(4).unwrap().id;
+            c.install(
+                id,
+                vec![
+                    LogicalObject::memory(ObjectId(0), LocalConfig::op(Operation::Load))
+                        .with_init(vec![Word(0), Word(0), Word(4)]),
+                    LogicalObject::compute(
+                        ObjectId(1),
+                        LocalConfig::with_imm(Operation::MulImm, Word(3 + k)),
+                    ),
+                    LogicalObject::memory(ObjectId(2), LocalConfig::op(Operation::Store))
+                        .with_init(vec![Word(64), Word(0), Word(0)]),
+                    LogicalObject::compute(ObjectId(3), LocalConfig::op(Operation::Pass)),
+                ],
+            )
+            .unwrap();
+            let words: Vec<Word> = (0..32).map(|i| Word(100 * k + i + 1)).collect();
+            c.write_mailbox(id, 0, 0, &words).unwrap();
+            c.activate(id).unwrap();
+            c.configure(id, stream_kernel()).unwrap();
+            ids.push(id);
+        }
+        (c, ids)
+    }
+
+    fn stream_kernel() -> GlobalConfigStream {
+        use vlsi_object::GlobalConfigElement;
+        [
+            GlobalConfigElement::unary(ObjectId(1), ObjectId(0)),
+            GlobalConfigElement {
+                sink: ObjectId(2),
+                src_lhs: None,
+                src_rhs: Some(ObjectId(1)),
+                src_pred: None,
+            },
+            GlobalConfigElement::unary(ObjectId(3), ObjectId(1)),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    /// One engine, three ways in: a batch of N, N batches of one, and N
+    /// plain `execute` calls must leave identical reports, metrics and
+    /// memory images — on resident datapaths that are run again (stream
+    /// pointers carry over), after a round in which every lane timed
+    /// out mid-stream, and after a reconfigure that rebuilds the
+    /// datapaths from the registers persisted into the bound objects.
     #[test]
-    fn execute_batch_matches_per_ap_loop() {
-        let (mut serial, ids_s) = batch_ready_chip(6, 1);
-        let per_ap: Vec<_> = ids_s
-            .iter()
-            .map(|&id| serial.execute(id, 1, 100_000).unwrap())
-            .collect();
+    fn a_batch_of_n_equals_n_batches_of_one() {
+        type Outcomes = Vec<Result<ExecutionReport, CoreError>>;
+        let one_at_a_time = |c: &mut VlsiChip, ids: &[ProcessorId], budget, batched| -> Outcomes {
+            ids.iter()
+                .map(|&id| match batched {
+                    true => c.execute_batch(&[id], 1, budget).map(|mut r| r.remove(0)),
+                    false => c.execute(id, 1, budget),
+                })
+                .collect()
+        };
         for threads in [1usize, 2, 8] {
-            let (mut batch, ids_b) = batch_ready_chip(6, threads);
-            let reports = batch.execute_batch(&ids_b, 1, 100_000).unwrap();
-            assert_eq!(reports.len(), per_ap.len());
-            for (k, (a, b)) in per_ap.iter().zip(&reports).enumerate() {
-                assert_eq!(a.cycles, b.cycles, "proc {k} cycles at {threads}t");
-                assert_eq!(a.taps, b.taps, "proc {k} taps at {threads}t");
-                assert_eq!(a.firings, b.firings, "proc {k} firings");
-                assert_eq!(a.release_order, b.release_order, "proc {k} release");
+            let (mut whole, ids) = stream_ready_chip(6, threads);
+            let (mut ones, ids_ones) = stream_ready_chip(6, 1);
+            let (mut plain, ids_plain) = stream_ready_chip(6, 1);
+            assert_eq!(ids, ids_ones);
+            assert_eq!(ids, ids_plain);
+            // Two full runs, a 5-cycle budget that strands every lane
+            // mid-stream, a full run from there, then a reconfigure.
+            for (round, budget) in [100_000u64, 100_000, 5, 100_000, 100_000]
+                .into_iter()
+                .enumerate()
+            {
+                if round == 4 {
+                    for c in [&mut whole, &mut ones, &mut plain] {
+                        for &id in &ids {
+                            c.configure(id, stream_kernel()).unwrap();
+                        }
+                    }
+                }
+                let batch = whole.execute_batch(&ids, 1, budget);
+                let singles = one_at_a_time(&mut ones, &ids, budget, true);
+                assert_eq!(
+                    singles,
+                    one_at_a_time(&mut plain, &ids, budget, false),
+                    "round {round}: execute is a batch of one"
+                );
+                match batch {
+                    Ok(reports) => {
+                        assert_ne!(budget, 5, "the short budget must strand the lanes");
+                        let singles: Vec<_> = singles.into_iter().map(Result::unwrap).collect();
+                        assert_eq!(reports, singles, "round {round} at {threads} threads");
+                        assert!(reports.iter().all(|r| r.stores == 4), "round {round}");
+                    }
+                    Err(e) => {
+                        assert_eq!(budget, 5, "round {round}: {e}");
+                        let first = singles.into_iter().find_map(Result::err);
+                        assert_eq!(Some(e), first, "round {round}: first failure in id order");
+                    }
+                }
+                for other in [&ones, &plain] {
+                    assert_eq!(whole.metrics().ap, other.metrics().ap, "round {round}");
+                    for &id in &ids {
+                        let (a, b) = (whole.processor(id).unwrap(), other.processor(id).unwrap());
+                        for block in 0..2 {
+                            assert_eq!(
+                                a.ap.memory(block),
+                                b.ap.memory(block),
+                                "round {round}: {id} block {block} at {threads} threads"
+                            );
+                        }
+                    }
+                }
             }
-            assert_eq!(
-                serial.metrics().ap,
-                batch.metrics().ap,
-                "merged AP metrics identical at {threads} threads"
-            );
+            // The pointers really did carry over: four full runs stored
+            // 16 words per lane, plus whatever the stranded round wrote.
+            for (k, &id) in ids.iter().enumerate() {
+                let out = whole.processor(id).unwrap().ap.memory(1).unwrap();
+                assert!(out.write_count() >= 16, "lane {k}");
+                assert_eq!(
+                    out.peek(64).unwrap(),
+                    Word((100 * k as u64 + 1) * (3 + k as u64))
+                );
+            }
         }
     }
 

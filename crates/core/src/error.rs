@@ -52,6 +52,14 @@ pub enum CoreError {
     },
     /// A batch execution named the same processor twice.
     DuplicateInBatch(ProcessorId),
+    /// A placed deployment was handed a region list that is not one
+    /// region per stage.
+    PlacementMismatch {
+        /// Stages in the program.
+        stages: usize,
+        /// Regions supplied.
+        regions: usize,
+    },
     /// Fusing requires the two regions to be disjoint and their union
     /// connected.
     CannotFuse,
@@ -82,6 +90,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::DuplicateInBatch(id) => {
                 write!(f, "processor {id} named twice in one batch")
+            }
+            CoreError::PlacementMismatch { stages, regions } => {
+                write!(f, "{regions} placed regions for {stages} stages")
             }
             CoreError::CannotFuse => write!(f, "regions cannot fuse"),
             CoreError::BadSplit => write!(f, "parts do not partition the region"),

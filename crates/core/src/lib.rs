@@ -23,7 +23,7 @@
 //! * [`region`] — the SoA region executor behind
 //!   [`VlsiChip::execute_batch`]: whole regions of APs advanced in one
 //!   cache-friendly sweep per tick, row-striped across a worker pool,
-//!   bit-identical to the per-AP path.
+//!   on the same engine a single [`VlsiChip::execute`] runs.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,5 +40,5 @@ pub use blockexec::{BlockExecutor, PipelineReport, RunStats};
 pub use chip::{ChipMetrics, ConfigStrategy, GatherOutcome, VlsiChip};
 pub use error::CoreError;
 pub use scaled::{ProcessorId, ScaledProcessor};
-pub use staged::{PipelineRunStats, StagedExecutor, StagedProgram, StagedRunStats, StagedStage};
+pub use staged::{PipelineRunStats, StagedExecutor, StagedProgram, StagedStage};
 pub use state::ProcState;

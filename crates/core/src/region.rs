@@ -1,12 +1,12 @@
-//! The SoA region executor: many APs advanced in one sweep per tick.
+//! The region executor: many APs advanced in one sweep per tick.
 //!
 //! [`VlsiChip::execute_batch`](crate::chip::VlsiChip::execute_batch)
-//! detaches each named processor's configured datapath (plus its memory
-//! blocks) into a [`SoaLane`] — flat struct-of-arrays slabs — and hands
-//! the whole set here. [`sweep_lanes`] advances them *lane-major*: each
-//! lane's dense arrays are driven front-to-back to completion while
-//! they are hot in cache, which is the behaviour the per-AP
-//! pointer-chasing loop can't deliver at 1024-AP scale.
+//! moves each named processor's resident datapath (already flat
+//! struct-of-arrays slabs) and its memory blocks out into a [`SoaLane`]
+//! and hands the whole set here. [`sweep_lanes`] advances them
+//! *lane-major*: each lane's dense arrays are driven front-to-back to
+//! completion while they are hot in cache. The cycle each lane steps is
+//! the one engine a lone `execute` runs too — a batch of one.
 //!
 //! ## Sharding and determinism
 //!
@@ -17,8 +17,7 @@
 //! lane's state, the result of every lane is a pure function of that
 //! lane alone: any stripe partition, any thread count, and the serial
 //! path all produce byte-identical lanes. The ci.sh thread-matrix gate
-//! (`soa_sweep` digest at 1/2/8 threads) and the per-AP-vs-SoA
-//! equivalence step hold this to one byte pattern.
+//! (`soa_sweep` digest at 1/2/8 threads) holds this to one byte pattern.
 
 use std::sync::Mutex;
 use vlsi_ap::SoaLane;
@@ -59,8 +58,6 @@ pub fn sweep_lanes(pool: &Pool, lanes: &mut [SoaLane], tap_limit: u64, max_cycle
 /// touching every lane once per cycle.
 fn sweep_stripe(lanes: &mut [SoaLane]) {
     for lane in lanes.iter_mut() {
-        while lane.is_running() {
-            lane.step();
-        }
+        while lane.step() {}
     }
 }

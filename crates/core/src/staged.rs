@@ -99,21 +99,9 @@ impl StagedProgram {
     }
 }
 
-/// Statistics of one staged run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StagedRunStats {
-    /// Stages executed (activations).
-    pub stages_executed: u64,
-    /// Mailbox words written between stages.
-    pub mailbox_writes: u64,
-    /// Total datapath execution cycles across stages.
-    pub exec_cycles: u64,
-    /// Total configuration cycles across stages.
-    pub config_cycles: u64,
-}
-
-/// Statistics of one pipelined batch run
-/// ([`StagedExecutor::run_pipelined`]).
+/// Statistics of one staged run: a batch of datasets through
+/// [`StagedExecutor::run_pipelined`], or the single dataset of
+/// [`StagedExecutor::run`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineRunStats {
     /// Datasets pushed through the pipeline.
@@ -159,7 +147,8 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
     }
 
     /// Deploys `program` onto the exact `regions` the placement pass
-    /// chose (one region per stage, same order). On failure, every
+    /// chose (one region per stage, same order — any other count is
+    /// refused before anything is gathered). On failure, every
     /// processor gathered so far is released.
     pub fn deploy_placed(
         chip: &mut VlsiChip,
@@ -167,7 +156,12 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         regions: &[Region],
     ) -> Result<StagedExecutor<P>, CoreError> {
         let stages = program.borrow().stages.len();
-        assert_eq!(regions.len(), stages, "one region per stage");
+        if regions.len() != stages {
+            return Err(CoreError::PlacementMismatch {
+                stages,
+                regions: regions.len(),
+            });
+        }
         Self::deploy_with(chip, program, |chip, _, i| {
             chip.gather(regions[i].clone()).map(|o| o.id)
         })
@@ -201,58 +195,21 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         self.program().levels()
     }
 
-    /// Runs the program for one input environment. Returns the program
-    /// outputs (in [`StagedProgram::outputs`] order; absent values read
-    /// as 0, matching the mailbox default) and run statistics.
-    ///
-    /// Stages execute level by level: each level's mailboxes are
-    /// written and its processors activated and configured in stage
-    /// order, then the whole level runs as one
-    /// [`VlsiChip::execute_batch`] region sweep, then taps are read
-    /// back in stage order. Independent stages therefore advance in one
-    /// SoA sweep instead of one `execute` call each, while every value,
-    /// report, and statistic stays identical to the sequential walk.
+    /// Runs the program for one input environment: a one-dataset
+    /// [`run_pipelined`](Self::run_pipelined). With nothing to overlap,
+    /// the wavefront is the level-by-level walk — each tick stages one
+    /// level's mailboxes, activates and configures its processors,
+    /// sweeps them as one [`VlsiChip::execute_batch`], and reads the
+    /// taps back. Returns the program outputs (in
+    /// [`StagedProgram::outputs`] order; absent values read as 0,
+    /// matching the mailbox default) and run statistics.
     pub fn run(
         &self,
         chip: &mut VlsiChip,
         inputs: &HashMap<String, i64>,
-    ) -> Result<(Vec<i64>, StagedRunStats), CoreError> {
-        let mut env = inputs.clone();
-        let mut stats = StagedRunStats::default();
-        for level in self.levels() {
-            for &j in &level {
-                let stage = &self.program().stages[j];
-                let proc = self.procs[j];
-                for (var, mem_block) in &stage.inputs {
-                    let v = env.get(var).copied().unwrap_or(0);
-                    chip.write_mailbox(proc, *mem_block, 0, &[Word::from_i64(v)])?;
-                    stats.mailbox_writes += 1;
-                }
-                chip.activate(proc)?;
-                let cfg = chip.configure(proc, Arc::clone(&stage.stream))?;
-                stats.config_cycles += cfg.cycles;
-            }
-            let ids: Vec<ProcessorId> = level.iter().map(|&j| self.procs[j]).collect();
-            let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
-            for (&j, report) in level.iter().zip(&reports) {
-                let stage = &self.program().stages[j];
-                stats.exec_cycles += report.cycles;
-                stats.stages_executed += 1;
-                for (var, tap) in &stage.outputs {
-                    let vals =
-                        report
-                            .taps
-                            .get(tap)
-                            .filter(|v| !v.is_empty())
-                            .ok_or(CoreError::Ap(vlsi_ap::ApError::ExecutionTimeout {
-                                cycles: report.cycles,
-                            }))?;
-                    env.insert(var.clone(), vals[0].as_i64());
-                }
-                chip.deactivate(self.procs[j])?;
-            }
-        }
-        Ok((self.outputs_from(&env), stats))
+    ) -> Result<(Vec<i64>, PipelineRunStats), CoreError> {
+        let (mut outputs, stats) = self.run_pipelined(chip, std::slice::from_ref(inputs))?;
+        Ok((outputs.pop().unwrap_or_default(), stats))
     }
 
     /// Program outputs read from a finished environment, in
@@ -291,7 +248,7 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
     /// Each stage is configured **once**, on the tick its first dataset
     /// arrives, and its datapath then stays resident: staged streams
     /// read their mailboxes through *addressed* loads (no stream
-    /// pointers advance) and `Datapath::run` clears all per-run
+    /// pointers advance) and `Datapath::start` clears all per-run
     /// transient state, so re-executing the resident datapath on a
     /// freshly staged mailbox produces exactly the reports a
     /// reconfigure would. Skipping the per-dataset release + management
@@ -558,6 +515,28 @@ mod tests {
         assert_eq!(chip.free_clusters(), 64);
     }
 
+    #[test]
+    fn deploy_placed_refuses_a_region_count_that_is_not_the_stage_count() {
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let regions = [
+            Region::rect(Coord::new(0, 0), 2, 2),
+            Region::rect(Coord::new(4, 0), 2, 2),
+            Region::rect(Coord::new(0, 4), 2, 2),
+        ];
+        for given in [&regions[..1], &regions[..3], &regions[..0]] {
+            let err = StagedExecutor::deploy_placed(&mut chip, two_stage_program(), given)
+                .expect_err("two stages need exactly two regions");
+            assert_eq!(
+                err,
+                CoreError::PlacementMismatch {
+                    stages: 2,
+                    regions: given.len()
+                }
+            );
+            assert_eq!(chip.free_clusters(), 64, "nothing gathered");
+        }
+    }
+
     /// Three stages: s0 and s1 are independent (level 0), s2 consumes
     /// both (level 1) — `t0 + t1` where `t0 = a + b`, `t1 = a * b`.
     fn diamond_program() -> StagedProgram {
@@ -690,7 +669,7 @@ mod tests {
             let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
             let datasets = batch(&vars, 7);
             let mut seq = Vec::new();
-            let mut seq_stats = StagedRunStats::default();
+            let mut seq_stats = PipelineRunStats::default();
             for ds in &datasets {
                 let (out, s) = exec.run(&mut chip, ds).unwrap();
                 seq.push(out);
