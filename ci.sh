@@ -10,18 +10,16 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== chaos suite (fixed seed matrix: 3 seeds x 3 fault rates)"
-cargo test -q --offline --test chaos_transport
-
-echo "== ingest overload chaos (3 seeds x 3 arrival profiles x chip-down storm)"
-cargo test -q --offline --test ingest_overload
-
 echo "== cargo test -q"
+# Includes the chaos suite (chaos_transport: fixed seed matrix, 3 seeds x
+# 3 fault rates) and the ingest overload chaos (ingest_overload: 3 seeds
+# x 3 arrival profiles x chip-down storm).
 cargo test -q --workspace --offline
 
-echo "== placement property tests, --release (the only guard on relocate's early return)"
-cargo test -q --offline --release -p vlsi-core --lib -- \
-  relocation_matches_the_always_reprogram_reference free_space_cache_matches_a_fresh_finder
+echo "== property tests, --release (placement: the only guard on relocate's early return; block programs vs the interpreter)"
+cargo test -q --offline --release -p vlsi-core --lib --test properties -- \
+  relocation_matches_the_always_reprogram_reference free_space_cache_matches_a_fresh_finder \
+  structured_programs_match_the_interpreter
 
 echo "== core.relocations vs moved (acceptance run: every relocation is a move)"
 # A chip that re-programs processors where they stand counts more

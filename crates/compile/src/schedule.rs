@@ -1,8 +1,8 @@
 //! The schedule pass: lower partitioned stages to an executable
 //! [`StagedProgram`].
 //!
-//! Lowering follows the `blockexec` recipe exactly — it is the same
-//! hardware contract:
+//! Lowering follows the `StagedProgram::from_blocks` recipe exactly —
+//! it is the same hardware contract:
 //!
 //! * each mailbox channel becomes a **memory `Load` object** bound to
 //!   its block (`init = [0, block, 0]`), addressed by a zero-valued
@@ -148,6 +148,7 @@ pub fn schedule(
             stream,
             inputs,
             outputs,
+            guard: None,
         });
     }
 

@@ -60,6 +60,14 @@ pub enum CoreError {
         /// Regions supplied.
         regions: usize,
     },
+    /// A stage's datapath went quiet without producing one of its
+    /// live-out values (its probe never fired).
+    MissingOutput {
+        /// The stage (by [`StagedStage::name`](crate::StagedStage::name)).
+        stage: String,
+        /// The value that never reached its tap.
+        value: String,
+    },
     /// Fusing requires the two regions to be disjoint and their union
     /// connected.
     CannotFuse,
@@ -93,6 +101,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::PlacementMismatch { stages, regions } => {
                 write!(f, "{regions} placed regions for {stages} stages")
+            }
+            CoreError::MissingOutput { stage, value } => {
+                write!(f, "stage {stage} finished without producing `{value}`")
             }
             CoreError::CannotFuse => write!(f, "regions cannot fuse"),
             CoreError::BadSplit => write!(f, "parts do not partition the region"),

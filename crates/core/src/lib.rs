@@ -14,12 +14,12 @@
 //!   defect tolerance;
 //! * [`scaled`] — [`ScaledProcessor`]: one gathered region with its folded
 //!   stack, its adaptive processor, and its lifecycle state;
-//! * [`blockexec`] — execution of basic-block-partitioned programs across
-//!   multiple processors through mailbox memory writes and activation
-//!   (Figure 7(d));
-//! * [`staged`] — execution of compiler-emitted dataflow stage chains
-//!   ([`StagedProgram`]) over the same mailbox choreography, with
-//!   placement-directed deployment;
+//! * [`staged`] — the one program executor: stage programs
+//!   ([`StagedProgram`]) run across multiple processors through mailbox
+//!   memory writes and activation as a Figure 7(d) wavefront, whether
+//!   the compiler emitted them (dataflow stages, placement-directed
+//!   deployment) or [`StagedProgram::from_blocks`] lowered them from
+//!   basic blocks (guarded stages: only the taken arm is activated);
 //! * [`region`] — the SoA region executor behind
 //!   [`VlsiChip::execute_batch`]: whole regions of APs advanced in one
 //!   cache-friendly sweep per tick, row-striped across a worker pool,
@@ -28,7 +28,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod blockexec;
 pub mod chip;
 pub mod error;
 pub mod region;
@@ -36,7 +35,6 @@ pub mod scaled;
 pub mod staged;
 pub mod state;
 
-pub use blockexec::{BlockExecutor, PipelineReport, RunStats};
 pub use chip::{ChipMetrics, ConfigStrategy, GatherOutcome, VlsiChip};
 pub use error::CoreError;
 pub use scaled::{ProcessorId, ScaledProcessor};

@@ -1,21 +1,27 @@
-//! Executing compiled, pre-placed stage programs on a chip.
+//! Executing pre-placed stage programs on a chip — the one program
+//! executor.
 //!
-//! [`blockexec`](crate::blockexec) runs *control-flow* partitions: basic
-//! blocks joined by jumps and branches, each lowered on the fly. The
-//! compiler (`vlsi-compile`) instead emits *dataflow* partitions: a DAG
-//! cut into stages that execute once each, in index order, passing
-//! live values forward through mailbox memory writes — the same §2.6.2
+//! A [`StagedProgram`] is a list of stages, one processor each, that
+//! pass live values forward through mailbox memory writes: the §2.6.2
 //! choreography (the predecessor writes a successor's memory blocks
-//! while the successor is inactive), but with the lowering done ahead
-//! of time and the region shapes chosen by the placement pass.
+//! while the successor is inactive, then activates it). Two front ends
+//! produce one:
 //!
-//! [`StagedProgram`] is that ahead-of-time artifact: per stage, the
-//! logical objects, the optimised configuration stream, the live-in
-//! mailbox bindings, and the live-out probe taps. [`StagedExecutor`]
-//! deploys it — either wherever the allocator finds room
-//! ([`StagedExecutor::deploy`]) or onto the exact rectangles the
+//! * the compiler (`vlsi-compile`) emits *dataflow* partitions — a DAG
+//!   cut into stages that all run, with the region shapes chosen by the
+//!   placement pass;
+//! * [`StagedProgram::from_blocks`] lowers *control-flow* partitions —
+//!   the Figure 7(b) basic blocks — to stages carrying a **guard**: a
+//!   branching block publishes its condition as an ordinary value, each
+//!   arm runs only for datasets whose condition selects it, and the
+//!   other arm's processor stays dark.
+//!
+//! Per stage the artifact holds the logical objects, the configuration
+//! stream, the live-in mailbox bindings, and the live-out probe taps.
+//! [`StagedExecutor`] deploys it — either wherever the allocator finds
+//! room ([`StagedExecutor::deploy`]) or onto the exact rectangles the
 //! compiler placed ([`StagedExecutor::deploy_placed`]) — and pushes
-//! input environments through the stage chain.
+//! input environments through the stages as one wavefront.
 
 use crate::chip::VlsiChip;
 use crate::error::CoreError;
@@ -23,11 +29,14 @@ use crate::scaled::ProcessorId;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
-use vlsi_object::{GlobalConfigStream, LogicalObject, ObjectId, Word};
+use vlsi_object::{
+    GlobalConfigElement, GlobalConfigStream, LocalConfig, LogicalObject, ObjectId, Operation, Word,
+};
 use vlsi_topology::Region;
+use vlsi_workloads::program::{BasicBlock, BlockDatapath, Terminator};
 
-/// One compiled stage: a partition of the dataflow graph, lowered to
-/// objects + stream, with its mailbox and probe contracts.
+/// One stage: a partition of the program, lowered to objects + stream,
+/// with its mailbox and probe contracts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StagedStage {
     /// Stage label (for traces and artifact dumps).
@@ -46,10 +55,15 @@ pub struct StagedStage {
     pub inputs: Vec<(String, usize)>,
     /// Live-out value name → probe (tap) object.
     pub outputs: Vec<(String, ObjectId)>,
+    /// `(value, flag)`: the stage runs for a dataset iff `value` is
+    /// *present* in that dataset's environment and its truth (non-zero)
+    /// equals `flag`. A skipped stage gets no mailbox write, no
+    /// activation and no lane in the tick's sweep. `None` always runs.
+    pub guard: Option<(String, bool)>,
 }
 
-/// A compiled program: stages executed in index order, every inter-stage
-/// value carried by a mailbox write.
+/// A program: stages executed in index order, every inter-stage value
+/// carried by a mailbox write.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StagedProgram {
     /// Program name (from the source netlist).
@@ -67,28 +81,129 @@ impl StagedProgram {
         self.stages.iter().map(|s| s.clusters).sum()
     }
 
-    /// Groups stages into dependency **levels**: stage `j` sits one
-    /// level past the deepest earlier stage whose outputs feed `j`'s
-    /// inputs. Stages in one level share no data edges, so the whole
-    /// level can execute as a single SoA region sweep without changing
-    /// any value the sequential stage walk would produce. The level
-    /// count is the pipeline depth the Fig. 7(d) overlap fills.
-    pub fn levels(&self) -> Vec<Vec<usize>> {
-        let stages = &self.stages;
-        let mut level = vec![0usize; stages.len()];
-        for j in 0..stages.len() {
-            let mut lv = 0;
-            for (var, _) in &stages[j].inputs {
-                // The value stage j reads is whatever the *latest*
-                // earlier producer of `var` wrote — depend on that one.
-                for i in (0..j).rev() {
-                    if stages[i].outputs.iter().any(|(v, _)| v == var) {
-                        lv = lv.max(level[i] + 1);
-                        break;
+    /// Lowers a basic-block partition (Figure 7(b), as
+    /// [`Program::partition`](vlsi_workloads::Program::partition) cuts
+    /// it: acyclic, entry at index 0) to guarded stages, one 4-cluster
+    /// stage per non-empty block in topological order. A branching
+    /// block publishes its condition as the value `%cond<block>`; a
+    /// block entered only by one branch edge is guarded on that value;
+    /// any other block — a join — runs whenever its immediate dominator
+    /// (the block that branched) does, so it carries that block's guard.
+    /// A skipped brancher leaves its condition absent, which keeps every
+    /// arm nested under it dark too. `outputs` names the variables to
+    /// read back.
+    pub fn from_blocks(name: &str, blocks: &[BasicBlock], outputs: &[&str]) -> StagedProgram {
+        fn post_order(blocks: &[BasicBlock], b: usize, seen: &mut [bool], out: &mut Vec<usize>) {
+            if std::mem::replace(&mut seen[b], true) {
+                return;
+            }
+            for (next, _) in successors(&blocks[b]).into_iter().rev().flatten() {
+                post_order(blocks, next, seen, out);
+            }
+            out.push(b);
+        }
+        let mut order = Vec::with_capacity(blocks.len());
+        if !blocks.is_empty() {
+            post_order(blocks, 0, &mut vec![false; blocks.len()], &mut order);
+        }
+        // `partition` numbers a join before its arms; reverse post-order
+        // puts it after both.
+        order.reverse();
+        let mut pos = vec![0; blocks.len()];
+        for (i, &b) in order.iter().enumerate() {
+            pos[b] = i;
+        }
+
+        // In topological order every edge into a block is seen before
+        // the block itself: fold the edges into the block's immediate
+        // dominator and, for a block with exactly one way in, that
+        // edge's branch flag.
+        let mut idom = vec![0usize; blocks.len()];
+        let mut way_in: Vec<Option<Option<bool>>> = vec![None; blocks.len()];
+        let mut guards: Vec<Option<(String, bool)>> = vec![None; blocks.len()];
+        let mut stages = Vec::new();
+        for &b in &order {
+            guards[b] = match way_in[b] {
+                Some(Some(flag)) => Some((cond_var(idom[b]), flag)),
+                Some(None) => guards[idom[b]].clone(),
+                None => None,
+            };
+            for (next, flag) in successors(&blocks[b]).into_iter().flatten() {
+                match way_in[next] {
+                    None => (idom[next], way_in[next]) = (b, Some(flag)),
+                    Some(_) => {
+                        let (mut x, mut y) = (idom[next], b);
+                        while x != y {
+                            if pos[x] > pos[y] {
+                                x = idom[x];
+                            } else {
+                                y = idom[y];
+                            }
+                        }
+                        (idom[next], way_in[next]) = (x, Some(None));
                     }
                 }
             }
-            level[j] = lv;
+            if !blocks[b].assigns.is_empty() || blocks[b].cond.is_some() {
+                stages.push(lower_block(b, &blocks[b], guards[b].clone()));
+            }
+        }
+        StagedProgram {
+            name: name.to_string(),
+            stages,
+            outputs: outputs
+                .iter()
+                .map(|v| (v.to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+
+    /// Groups stages into dependency **levels**. Stage `j` sits one
+    /// level past the latest earlier producer of each value it reads
+    /// (its inputs and its guard value), and no earlier than any
+    /// earlier stage that reads or writes a name `j` writes. The second
+    /// rule keeps the writers of one name in order, so "the latest
+    /// producer" is also the deepest: the arms of a branch are
+    /// alternative producers, and a join that reads what they wrote
+    /// lands past every one of them, not just the last in index order.
+    /// Stages in one level therefore execute as a single SoA region
+    /// sweep without changing any value the sequential stage walk
+    /// would produce. The level count is the pipeline depth the
+    /// Fig. 7(d) overlap fills.
+    pub fn levels(&self) -> Vec<Vec<usize>> {
+        /// What the stages so far did to one value name.
+        #[derive(Default)]
+        struct Seen {
+            /// Level a later reader must reach: one past the last writer.
+            after: usize,
+            /// Level a later writer must reach: the deepest reader or
+            /// writer so far.
+            floor: usize,
+        }
+        let mut seen: HashMap<&str, Seen> = HashMap::new();
+        let mut level = Vec::with_capacity(self.stages.len());
+        for stage in &self.stages {
+            let reads = || {
+                let guard = stage.guard.iter().map(|(v, _)| v.as_str());
+                stage.inputs.iter().map(|(v, _)| v.as_str()).chain(guard)
+            };
+            let writes = || stage.outputs.iter().map(|(v, _)| v.as_str());
+            let lv = reads()
+                .filter_map(|v| seen.get(v).map(|s| s.after))
+                .chain(writes().filter_map(|v| seen.get(v).map(|s| s.floor)))
+                .max()
+                .unwrap_or(0);
+            for v in reads() {
+                let s = seen.entry(v).or_default();
+                s.floor = s.floor.max(lv);
+            }
+            for v in writes() {
+                *seen.entry(v).or_default() = Seen {
+                    after: lv + 1,
+                    floor: lv,
+                };
+            }
+            level.push(lv);
         }
         let depth = level.iter().max().map_or(0, |m| m + 1);
         let mut groups = vec![Vec::new(); depth];
@@ -96,6 +211,90 @@ impl StagedProgram {
             groups[lv].push(j);
         }
         groups
+    }
+}
+
+/// The name a branching block's condition travels under.
+fn cond_var(block: usize) -> String {
+    format!("%cond{block}")
+}
+
+/// A block's control-flow successors with the branch flag of each edge
+/// (`None` for a jump), then-arm first.
+fn successors(block: &BasicBlock) -> [Option<(usize, Option<bool>)>; 2] {
+    match block.terminator {
+        Terminator::End => [None, None],
+        Terminator::Jump(n) => [Some((n, None)), None],
+        Terminator::Branch {
+            then_block,
+            else_block,
+        } => [
+            Some((then_block, Some(true))),
+            Some((else_block, Some(false))),
+        ],
+    }
+}
+
+/// Lowers one basic block to its stage:
+///
+/// * every live-in `Const` of the compiled datapath becomes an
+///   *addressed memory load* from its own mailbox memory block
+///   (address 0), driven by a zero-address constant;
+/// * every live-out — and the branch condition, published as
+///   [`cond_var`] — gains a `Pass` probe so its value is always
+///   observable as a tap.
+fn lower_block(index: usize, block: &BasicBlock, guard: Option<(String, bool)>) -> StagedStage {
+    let dp = BlockDatapath::compile(block);
+    let mut objects = dp.objects;
+    let mut elements: Vec<GlobalConfigElement> = dp.stream.elements().to_vec();
+    let mut next_id = objects.iter().map(|o| o.id.0).max().unwrap_or(0) + 1;
+    let mut fresh = |objects: &mut Vec<LogicalObject>, cfg: LocalConfig| {
+        let id = ObjectId(next_id);
+        next_id += 1;
+        objects.push(LogicalObject::compute(id, cfg));
+        id
+    };
+
+    let mut inputs = Vec::with_capacity(dp.inputs.len());
+    for (i, (var, const_id)) in dp.inputs.into_iter().enumerate() {
+        let addr_obj = fresh(
+            &mut objects,
+            LocalConfig::with_imm(Operation::Const, Word(0)),
+        );
+        let obj = objects
+            .iter_mut()
+            .find(|o| o.id == const_id)
+            .expect("compile lists every live-in's object");
+        *obj = LogicalObject::memory(const_id, LocalConfig::op(Operation::Load)).with_init(vec![
+            Word(0),
+            Word(i as u64),
+            Word(0),
+        ]);
+        // Rewrite its stream element from nullary to addressed.
+        for e in elements.iter_mut() {
+            if e.sink == const_id && e.src_lhs.is_none() {
+                e.src_lhs = Some(addr_obj);
+            }
+        }
+        inputs.push((var, i));
+    }
+
+    let cond = dp.cond.map(|c| (cond_var(index), c));
+    let mut outputs = Vec::with_capacity(dp.outputs.len() + 1);
+    for (var, obj) in dp.outputs.into_iter().chain(cond) {
+        let probe = fresh(&mut objects, LocalConfig::op(Operation::Pass));
+        elements.push(GlobalConfigElement::unary(probe, obj));
+        outputs.push((var, probe));
+    }
+
+    StagedStage {
+        name: format!("b{index}"),
+        clusters: 4,
+        objects,
+        stream: Arc::new(elements.into_iter().collect()),
+        inputs,
+        outputs,
+        guard,
     }
 }
 
@@ -108,7 +307,8 @@ pub struct PipelineRunStats {
     pub datasets: u64,
     /// Wavefront ticks the drain took (`depth + datasets − 1`).
     pub ticks: u64,
-    /// Stage executions across all ticks (`datasets × stages`).
+    /// Stage executions — activations — across all ticks
+    /// (`datasets × stages`, less the slots a guard kept dark).
     pub stages_executed: u64,
     /// Mailbox words written between stages.
     pub mailbox_writes: u64,
@@ -234,11 +434,14 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
     /// dataset enters level 0 every tick while deeper levels work on
     /// earlier datasets, and the batch drains in `depth + N − 1` ticks.
     /// Each tick has three supervisor phases in deterministic
-    /// (level, stage) order — mailbox staging + activation, one
-    /// [`VlsiChip::execute_batch`] region sweep over every in-flight
-    /// stage (all distinct processors, so the whole wavefront advances
-    /// as one SoA sweep on the `vlsi-par` pool), then tap readback +
-    /// deactivation. Deactivating a stage at the end of its tick is
+    /// (level, stage) order — guard check + mailbox staging +
+    /// activation, one [`VlsiChip::execute_batch`] region sweep over
+    /// every in-flight stage (all distinct processors, so the whole
+    /// wavefront advances as one SoA sweep on the `vlsi-par` pool),
+    /// then tap readback + deactivation. A stage whose
+    /// [guard](StagedStage::guard) fails for its dataset sits the tick
+    /// out untouched — only the taken arm of a branch is activated.
+    /// Deactivating a stage at the end of its tick is
     /// what makes the *next* tick's mailbox write legal (§2.6.2 lets
     /// others write a region's memory only while it is inactive): the
     /// supervisor's per-dataset environments are the second half of the
@@ -265,12 +468,37 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
     ///
     /// Returns one output vector per dataset (in dataset order) plus
     /// batch statistics, and records pipeline occupancy telemetry
-    /// (`staged.*`) on the chip's handle.
+    /// (`staged.*`) on the chip's handle. On an error every stage
+    /// processor is left inactive, so [`release`](Self::release) — or
+    /// another run — stays legal.
     pub fn run_pipelined(
         &self,
         chip: &mut VlsiChip,
         datasets: &[HashMap<String, i64>],
     ) -> Result<(Vec<Vec<i64>>, PipelineRunStats), CoreError> {
+        let mut active = Vec::new();
+        let result = self.wavefront(chip, datasets, &mut active);
+        if result.is_err() {
+            // Whatever the failing tick activated and had not yet read
+            // back is still active; the rest refuse the transition.
+            for &(j, _) in &active {
+                let _ = chip.deactivate(self.procs[j]);
+            }
+        }
+        result
+    }
+
+    /// The body of [`run_pipelined`](Self::run_pipelined). `active` is
+    /// the current tick's in-flight (stage, dataset) slots, rebuilt each
+    /// tick in ascending (level, stage) order — the deterministic drain
+    /// order — and left as the failing tick's on an error.
+    fn wavefront(
+        &self,
+        chip: &mut VlsiChip,
+        datasets: &[HashMap<String, i64>],
+        active: &mut Vec<(usize, usize)>,
+    ) -> Result<(Vec<Vec<i64>>, PipelineRunStats), CoreError> {
+        let stages = &self.program().stages;
         let levels = self.levels();
         let depth = levels.len();
         let n = datasets.len();
@@ -285,11 +513,8 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         }
         let ticks = depth + n - 1;
         stats.ticks = ticks as u64;
-        let mut configured = vec![false; self.program().stages.len()];
-        let mut busy_ticks = vec![0u64; self.program().stages.len()];
-        // In-flight (stage, dataset) slots, rebuilt each tick in
-        // ascending (level, stage) order — the deterministic drain order.
-        let mut active: Vec<(usize, usize)> = Vec::new();
+        let mut configured = vec![false; stages.len()];
+        let mut busy_ticks = vec![0u64; stages.len()];
         let mut ids: Vec<ProcessorId> = Vec::new();
         for t in 0..ticks {
             active.clear();
@@ -299,7 +524,12 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                 }
                 let d = t - l;
                 for &j in level {
-                    let stage = &self.program().stages[j];
+                    let stage = &stages[j];
+                    if let Some((var, flag)) = &stage.guard {
+                        if envs[d].get(var).map(|&c| c != 0) != Some(*flag) {
+                            continue;
+                        }
+                    }
                     let proc = self.procs[j];
                     for (var, mem_block) in &stage.inputs {
                         let v = envs[d].get(var).copied().unwrap_or(0);
@@ -307,37 +537,37 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                         stats.mailbox_writes += 1;
                     }
                     chip.activate(proc)?;
+                    active.push((j, d));
                     if !configured[j] {
                         let cfg = chip.configure(proc, Arc::clone(&stage.stream))?;
                         stats.config_cycles += cfg.cycles;
                         configured[j] = true;
                     }
-                    active.push((j, d));
                 }
             }
             ids.clear();
             ids.extend(active.iter().map(|&(j, _)| self.procs[j]));
             let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
             for (&(j, d), report) in active.iter().zip(&reports) {
-                let stage = &self.program().stages[j];
+                let stage = &stages[j];
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
                 busy_ticks[j] += 1;
                 for (var, tap) in &stage.outputs {
-                    let vals =
-                        report
-                            .taps
-                            .get(tap)
-                            .filter(|v| !v.is_empty())
-                            .ok_or(CoreError::Ap(vlsi_ap::ApError::ExecutionTimeout {
-                                cycles: report.cycles,
-                            }))?;
-                    envs[d].insert(var.clone(), vals[0].as_i64());
+                    let word = report
+                        .taps
+                        .get(tap)
+                        .and_then(|v| v.first())
+                        .ok_or_else(|| CoreError::MissingOutput {
+                            stage: stage.name.clone(),
+                            value: var.clone(),
+                        })?;
+                    envs[d].insert(var.clone(), word.as_i64());
                 }
                 chip.deactivate(self.procs[j])?;
             }
         }
-        let slots = stats.ticks * self.program().stages.len() as u64;
+        let slots = stats.ticks * stages.len() as u64;
         let busy: u64 = busy_ticks.iter().sum();
         stats.utilization_milli = (busy * 1000).checked_div(slots).unwrap_or(0);
         let tel = chip.telemetry();
@@ -365,13 +595,16 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         &self.procs
     }
 
-    /// Releases every stage processor (all must be inactive — `run`
-    /// leaves them that way).
+    /// Releases every stage processor (all must be inactive — a run
+    /// leaves them that way, failed or not). Every processor is
+    /// attempted; the first error, if any, is reported after the rest
+    /// are released.
     pub fn release(self, chip: &mut VlsiChip) -> Result<(), CoreError> {
+        let mut first = Ok(());
         for id in self.procs {
-            chip.release_processor(id)?;
+            first = first.and(chip.release_processor(id));
         }
-        Ok(())
+        first
     }
 }
 
@@ -380,6 +613,8 @@ mod tests {
     use super::*;
     use vlsi_object::{GlobalConfigElement, LocalConfig, Operation};
     use vlsi_topology::{Cluster, Coord};
+    use vlsi_workloads::figure7;
+    use vlsi_workloads::program::{BinOp, Expr, Program, Stmt};
 
     /// Hand-build a two-stage program computing `(a + b) * c`:
     /// stage 0 computes `t = a + b`, stage 1 computes `out = t * c`.
@@ -425,6 +660,7 @@ mod tests {
                 stream,
                 inputs: vec![("a".into(), 0), ("b".into(), 1)],
                 outputs: vec![("t".into(), probe)],
+                guard: None,
             }
         };
         // Stage 1: mailbox loads t (block 0), c (block 1); out = t * c.
@@ -468,6 +704,7 @@ mod tests {
                 stream,
                 inputs: vec![("t".into(), 0), ("c".into(), 1)],
                 outputs: vec![("out".into(), probe)],
+                guard: None,
             }
         };
         StagedProgram {
@@ -580,6 +817,7 @@ mod tests {
                 stream,
                 inputs: vec![("a".into(), 0), ("b".into(), 1)],
                 outputs: vec![(out_var.into(), probe)],
+                guard: None,
             }
         };
         let mut join = arith_stage("join", Operation::IAdd, "out");
@@ -626,6 +864,28 @@ mod tests {
             "s1 reads s0's t: strictly sequential"
         );
         exec.release(&mut chip).unwrap();
+    }
+
+    /// A run that fails mid-tick (stage 0's probe is cut out of its
+    /// stream, so `t` never reaches its tap) must leave every processor
+    /// inactive: `release` succeeds and the die is whole again.
+    #[test]
+    fn failed_run_leaves_the_deployment_releasable() {
+        let mut program = two_stage_program();
+        let s0 = &mut program.stages[0];
+        s0.stream = Arc::new(s0.stream.elements()[..3].iter().cloned().collect());
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
+        let err = exec.run(&mut chip, &HashMap::new()).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::MissingOutput {
+                stage: "s0".into(),
+                value: "t".into()
+            }
+        );
+        exec.release(&mut chip).unwrap();
+        assert_eq!(chip.free_clusters(), 64);
     }
 
     #[test]
@@ -754,6 +1014,146 @@ mod tests {
                 && json.contains("staged.occupancy_milli[2]"),
             "per-stage occupancy gauges must export: {json}"
         );
+        exec.release(&mut chip).unwrap();
+    }
+
+    fn xy(x: i64, y: i64) -> HashMap<String, i64> {
+        HashMap::from([("x".to_string(), x), ("y".to_string(), y)])
+    }
+
+    /// Figure 7 as guarded stages: four processors, three activations
+    /// per dataset (entry + the taken arm + buffer), the condition
+    /// selecting the arm, and a deployment that is reusable as is.
+    #[test]
+    fn figure7_blocks_run_as_guarded_stages() {
+        let program = StagedProgram::from_blocks(
+            "figure7",
+            &figure7::program().partition(),
+            &[figure7::RESULT_VAR],
+        );
+        let guards: Vec<_> = program.stages.iter().map(|s| s.guard.clone()).collect();
+        assert_eq!(
+            guards,
+            vec![
+                None,
+                Some(("%cond0".to_string(), true)),
+                Some(("%cond0".to_string(), false)),
+                None
+            ],
+            "entry, then-arm, else-arm, join"
+        );
+        assert_eq!(
+            program.levels(),
+            vec![vec![0], vec![1, 2], vec![3]],
+            "the join waits for both alternative producers of z"
+        );
+        // A then-arm that branches again is deeper than the else-arm;
+        // the join lands past the deepest producer of `r`, not the last.
+        let r = |v| vec![Stmt::Assign("r".into(), Expr::Const(v))];
+        let gt0 = |v| Expr::bin(BinOp::Gt, Expr::var(v), Expr::Const(0));
+        let nested = Program {
+            stmts: vec![
+                Stmt::If {
+                    cond: gt0("a"),
+                    then_branch: vec![Stmt::If {
+                        cond: gt0("b"),
+                        then_branch: r(1),
+                        else_branch: r(2),
+                    }],
+                    else_branch: r(3),
+                },
+                Stmt::Assign("out".into(), Expr::var("r")),
+            ],
+        };
+        assert_eq!(
+            StagedProgram::from_blocks("nested", &nested.partition(), &["out"]).levels(),
+            vec![vec![0], vec![1], vec![2, 3, 4], vec![5]]
+        );
+
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
+        assert_eq!(exec.processors().len(), 4);
+        for (x, y) in [(9i64, 4i64), (2, 5), (5, 5), (-3, 7)] {
+            let (out, stats) = exec.run(&mut chip, &xy(x, y)).unwrap();
+            assert_eq!(out, vec![figure7::reference(x, y)], "x={x} y={y}");
+            assert_eq!(stats.stages_executed, 3);
+            assert!(stats.mailbox_writes >= 3);
+            assert_eq!(exec.run(&mut chip, &xy(x, y)).unwrap().0, out, "repeatable");
+        }
+        // Large x: then-arm (x+1). Large y: else-arm (y+2).
+        assert_eq!(exec.run(&mut chip, &xy(100, 0)).unwrap().0, vec![101]);
+        assert_eq!(exec.run(&mut chip, &xy(0, 100)).unwrap().0, vec![102]);
+        exec.release(&mut chip).unwrap();
+    }
+
+    /// Figure 7(d): the block processors overlap across datasets — the
+    /// batch drains in `depth + N − 1` ticks, not `N × depth`, and every
+    /// block configures once for the whole batch.
+    #[test]
+    fn block_pipeline_overlaps_datasets() {
+        let run = |datasets: &[HashMap<String, i64>]| {
+            let mut chip = VlsiChip::new(8, 8, Cluster::default());
+            let program = StagedProgram::from_blocks(
+                "figure7",
+                &figure7::program().partition(),
+                &[figure7::RESULT_VAR],
+            );
+            let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
+            exec.run_pipelined(&mut chip, datasets).unwrap()
+        };
+        let datasets: Vec<_> = (0..8i64).map(|i| xy(i, 7 - i)).collect();
+        let (results, stats) = run(&datasets);
+        for (i, out) in results.iter().enumerate() {
+            let i = i as i64;
+            assert_eq!(out, &vec![figure7::reference(i, 7 - i)]);
+        }
+        assert_eq!(stats.datasets, 8);
+        assert_eq!(stats.ticks, 3 + 8 - 1);
+        assert!(stats.ticks < 8 * 3);
+        assert_eq!(stats.stages_executed, 8 * 3);
+        // One dataset per arm configures all four blocks; six more
+        // datasets configure nothing further.
+        let (_, two) = run(&[xy(0, 7), xy(7, 0)]);
+        assert_eq!(stats.config_cycles, two.config_cycles);
+    }
+
+    /// `if (x > y) { z = x + 1 }; out = z * 2; z = 7` — an empty else
+    /// arm, so for `x <= y` tick 1's only scheduled stage is guarded off
+    /// and the sweep is empty; and a join that rewrites `z`, which must
+    /// not overtake the arm that wrote it first.
+    #[test]
+    fn a_dark_tick_and_a_reused_name_keep_sequential_semantics() {
+        let source = Program {
+            stmts: vec![
+                Stmt::If {
+                    cond: Expr::bin(BinOp::Gt, Expr::var("x"), Expr::var("y")),
+                    then_branch: vec![Stmt::Assign(
+                        "z".into(),
+                        Expr::bin(BinOp::Add, Expr::var("x"), Expr::Const(1)),
+                    )],
+                    else_branch: vec![],
+                },
+                Stmt::Assign(
+                    "out".into(),
+                    Expr::bin(BinOp::Mul, Expr::var("z"), Expr::Const(2)),
+                ),
+                Stmt::Assign("z".into(), Expr::Const(7)),
+            ],
+        };
+        let program = StagedProgram::from_blocks("dark", &source.partition(), &["out", "z"]);
+        assert_eq!(program.levels(), vec![vec![0], vec![1], vec![2]]);
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
+        assert_eq!(exec.processors().len(), 3, "the empty arm has no stage");
+        for (x, y, stages) in [(5i64, 1i64, 3u64), (1, 5, 2)] {
+            let mut env = xy(x, y);
+            env.insert("z".into(), 20);
+            let (out, stats) = exec.run(&mut chip, &env).unwrap();
+            source.interpret(&mut env);
+            assert_eq!(out, vec![env["out"], env["z"]]);
+            assert_eq!(stats.ticks, 3);
+            assert_eq!(stats.stages_executed, stages);
+        }
         exec.release(&mut chip).unwrap();
     }
 }

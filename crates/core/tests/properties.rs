@@ -2,12 +2,46 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use vlsi_core::{BlockExecutor, CoreError, ProcState, VlsiChip};
+use vlsi_core::{CoreError, ProcState, StagedExecutor, StagedProgram, VlsiChip};
 use vlsi_topology::{Cluster, Coord, Region};
 use vlsi_workloads::program::{BinOp, Expr, Program, Stmt};
 
 fn chip() -> VlsiChip {
     VlsiChip::new(8, 8, Cluster::default())
+}
+
+const VARS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// A structured statement list drawn from `next`: two `if`s at the top,
+/// below that up to two statements, each an assignment to one of
+/// [`VARS`] or — while `ifs` lasts and the nesting is under three — an
+/// `if` whose arms are drawn the same way.
+/// Arms come out empty, write names the join never reads, and write the
+/// same name on both sides, all by chance.
+fn gen_stmts(next: &mut impl FnMut() -> u8, depth: usize, ifs: &mut usize) -> Vec<Stmt> {
+    let var = |n: u8| VARS[n as usize % VARS.len()];
+    let operand = |n: u8| match n % 3 {
+        0 => Expr::Const(i64::from(n / 3) - 40),
+        _ => Expr::var(var(n / 3)),
+    };
+    let len = if depth == 0 { 2 } else { next() % 3 };
+    (0..len)
+        .map(|_| {
+            if depth < 3 && *ifs > 0 && (depth == 0 || next() & 1 == 0) {
+                *ifs -= 1;
+                let op = [BinOp::Gt, BinOp::Lt, BinOp::Eq][next() as usize % 3];
+                Stmt::If {
+                    cond: Expr::bin(op, Expr::var(var(next())), operand(next())),
+                    then_branch: gen_stmts(next, depth + 1, ifs),
+                    else_branch: gen_stmts(next, depth + 1, ifs),
+                }
+            } else {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul][next() as usize % 3];
+                let value = Expr::bin(op, operand(next()), operand(next()));
+                Stmt::Assign(var(next()).to_string(), value)
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -42,38 +76,46 @@ proptest! {
         }
     }
 
-    /// The full multi-processor execution of a random two-armed program
-    /// matches the IR interpreter for every input.
+    /// Generated structured programs (nested ifs to depth 3, empty arms,
+    /// names written in one arm, both arms, or arm and join), lowered to
+    /// guarded stages and pushed through the wavefront in batches of
+    /// 1..=8, match the IR interpreter on every variable — and activate
+    /// exactly the non-empty blocks on each dataset's taken path.
     #[test]
-    fn partitioned_execution_matches_interpreter(
-        x in -100i64..100, y in -100i64..100,
-        k1 in -10i64..10, k2 in -10i64..10,
+    fn structured_programs_match_the_interpreter(
+        choices in prop::collection::vec(any::<u8>(), 96..=96),
+        inputs in prop::collection::vec((-9i64..9, -9i64..9), 1..=8),
     ) {
-        let p = Program {
-            stmts: vec![
-                Stmt::If {
-                    cond: Expr::bin(BinOp::Lt, Expr::var("x"), Expr::var("y")),
-                    then_branch: vec![Stmt::Assign(
-                        "r".into(),
-                        Expr::bin(BinOp::Mul, Expr::var("x"), Expr::Const(k1)),
-                    )],
-                    else_branch: vec![Stmt::Assign(
-                        "r".into(),
-                        Expr::bin(BinOp::Sub, Expr::var("y"), Expr::Const(k2)),
-                    )],
-                },
-                Stmt::Assign("out".into(), Expr::bin(BinOp::Add, Expr::var("r"), Expr::Const(1))),
-            ],
-        };
-        let mut env = HashMap::from([("x".to_string(), x), ("y".to_string(), y)]);
-        p.interpret(&mut env);
+        let mut choices = choices.into_iter();
+        let mut next = move || choices.next().unwrap_or(1);
+        // Five ifs cut at most 1 + 3×5 = 16 blocks: the 8×8 die's worth.
+        let p = Program { stmts: gen_stmts(&mut next, 0, &mut 5) };
+        let blocks = p.partition();
+        let datasets: Vec<HashMap<String, i64>> = inputs
+            .iter()
+            .map(|&(a, b)| HashMap::from([("a".to_string(), a), ("b".to_string(), b)]))
+            .collect();
 
         let mut c = chip();
-        let exec = BlockExecutor::deploy(&mut c, p.partition()).unwrap();
-        let inputs = HashMap::from([("x".to_string(), x), ("y".to_string(), y)]);
-        let (got, _) = exec.run(&mut c, &inputs).unwrap();
-        prop_assert_eq!(got["out"], env["out"]);
-        prop_assert_eq!(got["r"], env["r"]);
+        let exec = StagedExecutor::deploy(&mut c, StagedProgram::from_blocks("gen", &blocks, &VARS))
+            .unwrap();
+        let (got, stats) = exec.run_pipelined(&mut c, &datasets).unwrap();
+
+        let mut activations = 0;
+        for (ds, out) in datasets.iter().zip(&got) {
+            let mut env = ds.clone();
+            p.interpret(&mut env);
+            let expect: Vec<i64> = VARS.iter().map(|v| env.get(*v).copied().unwrap_or(0)).collect();
+            prop_assert_eq!(out, &expect, "{:?} on {:?}", p, ds);
+            // "Only the taken arm": the non-empty blocks on this path.
+            activations += Program::interpret_blocks(&blocks, &mut ds.clone())
+                .iter()
+                .filter(|&&b| !blocks[b].assigns.is_empty() || blocks[b].cond.is_some())
+                .count() as u64;
+        }
+        prop_assert_eq!(stats.stages_executed, activations, "{:?}", p);
+        exec.release(&mut c).unwrap();
+        prop_assert_eq!(c.free_clusters(), 64);
     }
 
     /// Chip fuzz: arbitrary interleavings of gather-by-count, release,

@@ -30,28 +30,20 @@ pub enum Workload {
         /// Reference output; a mismatch fails the job.
         expected: Option<Vec<u64>>,
     },
-    /// A basic-block program (Figure 7): partitioned, each block deployed
-    /// on its own 4-cluster processor, datasets pushed through the block
-    /// pipeline.
-    Blocks {
-        /// The program to partition and deploy.
-        program: Program,
-        /// Input environments, one per dataset.
-        datasets: Vec<HashMap<String, i64>>,
-        /// The variable to read out of each final environment.
-        result_var: String,
-    },
-    /// A compiler-emitted staged dataflow program (vlsi-compile): stages
-    /// deployed one processor each, executed in index order, live values
-    /// passed by mailbox writes. The compiler provides the reference
-    /// outputs (one vector per dataset, in program-output order); a
-    /// mismatch fails the job.
+    /// A staged program — compiler-emitted dataflow stages (vlsi-compile)
+    /// or a basic-block program lowered to guarded stages
+    /// ([`JobSpec::for_blocks`]): stages deployed one processor each,
+    /// datasets pushed through them as one wavefront, live values passed
+    /// by mailbox writes. The front end provides the reference outputs
+    /// (one vector per dataset, in program-output order); a mismatch
+    /// fails the job.
     Staged {
         /// The compiled program.
         program: StagedProgram,
         /// Input environments, one per dataset.
         datasets: Vec<HashMap<String, i64>>,
-        /// Reference outputs from the netlist evaluator, if checking.
+        /// Reference outputs (netlist evaluator or IR interpreter), if
+        /// checking.
         expected: Option<Vec<Vec<i64>>>,
     },
     /// Pure occupancy: hold the gathered clusters for `ticks` simulated
@@ -67,7 +59,6 @@ impl Workload {
     pub fn label(&self) -> &'static str {
         match self {
             Workload::Stream { .. } => "stream",
-            Workload::Blocks { .. } => "blocks",
             Workload::Staged { .. } => "staged",
             Workload::Idle { .. } => "idle",
         }
@@ -79,9 +70,9 @@ impl Workload {
 pub struct JobSpec {
     /// Human-readable name (for traces and reports).
     pub name: String,
-    /// Clusters requested. For [`Workload::Blocks`] this must be at least
-    /// `4 × non-empty blocks` (the per-block processors the deploy
-    /// gathers); [`JobSpec::for_blocks`] computes it.
+    /// Clusters requested. For [`Workload::Staged`] this must be at least
+    /// the sum of the stage regions the deploy gathers;
+    /// [`JobSpec::for_staged`] computes it.
     pub clusters: usize,
     /// The work itself.
     pub workload: Workload,
@@ -132,33 +123,31 @@ impl JobSpec {
         )
     }
 
-    /// A basic-block program job; the cluster request is derived from the
-    /// partition (4 clusters per non-empty block).
+    /// A basic-block program job (Figure 7): the program is partitioned
+    /// and lowered to a guarded staged program, one 4-cluster stage per
+    /// non-empty block, and every dataset's `result_var` is verified
+    /// against the IR interpreter.
     pub fn for_blocks(
         name: impl Into<String>,
         program: Program,
         datasets: Vec<HashMap<String, i64>>,
         result_var: impl Into<String>,
     ) -> JobSpec {
-        let blocks = program.partition();
-        let needed = blocks
+        let (name, result_var) = (name.into(), result_var.into());
+        let staged = StagedProgram::from_blocks(&name, &program.partition(), &[&result_var]);
+        let expected = datasets
             .iter()
-            .filter(|b| !b.assigns.is_empty() || b.cond.is_some())
-            .count()
-            * 4;
-        JobSpec::new(
-            name,
-            needed.max(4),
-            Workload::Blocks {
-                program,
-                datasets,
-                result_var: result_var.into(),
-            },
-        )
+            .map(|ds| {
+                let mut env = ds.clone();
+                program.interpret(&mut env);
+                vec![env.get(&result_var).copied().unwrap_or(0)]
+            })
+            .collect();
+        JobSpec::for_staged(name, staged, datasets, Some(expected))
     }
 
-    /// A compiled staged-program job; the cluster request is the sum of
-    /// the stage regions the placement pass shaped.
+    /// A staged-program job; the cluster request is the sum of the stage
+    /// regions.
     pub fn for_staged(
         name: impl Into<String>,
         program: StagedProgram,
@@ -201,9 +190,7 @@ impl JobSpec {
 pub enum JobOutput {
     /// Words read back from a stream job's store mailbox.
     Stream(Vec<u64>),
-    /// Per-dataset values of the result variable of a blocks job.
-    Blocks(Vec<i64>),
-    /// Per-dataset program-output vectors of a staged (compiled) job.
+    /// Per-dataset program-output vectors of a staged job.
     Staged(Vec<Vec<i64>>),
     /// Idle jobs produce nothing.
     None,
@@ -262,8 +249,8 @@ pub struct JobRecord {
     pub spec: Arc<JobSpec>,
     /// Current lifecycle state.
     pub state: JobState,
-    /// Processors currently held (one for stream/idle; one per block for
-    /// blocks jobs). Empty unless running.
+    /// Processors currently held (one for stream/idle; one per stage for
+    /// staged jobs). Empty unless running.
     pub procs: Vec<ProcessorId>,
     /// Output, once completed.
     pub output: Option<JobOutput>,

@@ -16,9 +16,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use vlsi_core::{
-    BlockExecutor, CoreError, ProcState, ProcessorId, StagedExecutor, StagedProgram, VlsiChip,
-};
+use vlsi_core::{CoreError, ProcState, ProcessorId, StagedExecutor, StagedProgram, VlsiChip};
 use vlsi_faults::{Fault, FaultKind, FaultPlan};
 use vlsi_object::Word;
 use vlsi_telemetry::TelemetryHandle;
@@ -526,8 +524,8 @@ impl Runtime {
                     Err(_) => self.requeue_job(job_id),
                 }
             }
-            Workload::Blocks { .. } | Workload::Staged { .. } => {
-                // Block/stage processors idle Inactive between runs, and
+            Workload::Staged { .. } => {
+                // Stage processors idle Inactive between runs, and
                 // the outputs are already computed — a quiet relocation
                 // keeps the tenancy intact.
                 match self.chip.relocate(pid) {
@@ -608,9 +606,7 @@ impl Runtime {
                 }
                 JobOutput::Stream(got)
             }
-            Workload::Blocks { .. } | Workload::Staged { .. } => {
-                self.jobs[&job_id].output.clone().unwrap_or(JobOutput::None)
-            }
+            Workload::Staged { .. } => self.jobs[&job_id].output.clone().unwrap_or(JobOutput::None),
             Workload::Idle { .. } => {
                 let pid = self.jobs[&job_id].procs[0];
                 self.chip.deactivate(pid)?;
@@ -815,11 +811,6 @@ impl Runtime {
                 self.admit_single(job_id, clusters, attempts, Some((kernel, input)), 0)
             }
             Workload::Idle { ticks } => self.admit_single(job_id, clusters, attempts, None, *ticks),
-            Workload::Blocks {
-                program,
-                datasets,
-                result_var,
-            } => self.admit_blocks(job_id, clusters, attempts, program, datasets, result_var),
             Workload::Staged {
                 program,
                 datasets,
@@ -952,87 +943,6 @@ impl Runtime {
         Ok(())
     }
 
-    fn admit_blocks(
-        &mut self,
-        job_id: JobId,
-        clusters: usize,
-        attempts: u32,
-        program: &vlsi_workloads::Program,
-        datasets: &[HashMap<String, i64>],
-        result_var: &str,
-    ) -> Result<(), RuntimeError> {
-        let mut exec = match self.deploy_blocks(program) {
-            Some(e) => Some(e),
-            None if self.compact_for(clusters) => self.deploy_blocks(program),
-            None => None,
-        };
-        let Some(exec) = exec.take() else {
-            self.back_off(job_id, attempts);
-            return Ok(());
-        };
-        let procs: Vec<ProcessorId> = (0..exec.processor_count())
-            .filter_map(|i| exec.processor_of(i))
-            .collect();
-
-        let mut outs = Vec::with_capacity(datasets.len());
-        let mut cfg_total = 0u64;
-        let mut exec_total = 0u64;
-        for ds in datasets {
-            // Run on the chip and check against the program interpreter —
-            // the blocks-level analogue of the stream reference check.
-            let (env, run) = match exec.run(&mut self.chip, ds) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.release_all(&procs)?;
-                    self.fail_job(job_id, RuntimeError::workload_from(job_id, e));
-                    return Ok(());
-                }
-            };
-            cfg_total += run.config_cycles;
-            exec_total += run.exec_cycles;
-            let mut reference = ds.clone();
-            program.interpret(&mut reference);
-            let got = env.get(result_var).copied();
-            let expect = reference.get(result_var).copied();
-            if got.is_none() || got != expect {
-                self.release_all(&procs)?;
-                self.fail_job(
-                    job_id,
-                    RuntimeError::workload(
-                        job_id,
-                        format!(
-                            "blocks result `{result_var}` = {got:?}, interpreter says {expect:?}"
-                        ),
-                    ),
-                );
-                return Ok(());
-            }
-            outs.push(got.expect("checked above"));
-        }
-
-        let latency: u64 = procs
-            .iter()
-            .map(|p| self.chip.processor(*p).map(|sp| sp.config_latency))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .sum();
-        let duration = self.to_ticks(latency + cfg_total + exec_total);
-        {
-            let rec = self.jobs.get_mut(&job_id).expect("queued job");
-            rec.output = Some(JobOutput::Blocks(outs));
-        }
-        self.mark_admitted(
-            job_id,
-            procs,
-            attempts,
-            false,
-            latency + cfg_total,
-            exec_total,
-            duration,
-        );
-        Ok(())
-    }
-
     fn admit_staged(
         &mut self,
         job_id: JobId,
@@ -1065,20 +975,21 @@ impl Runtime {
         let (outs, run) = match exec.run_pipelined(&mut self.chip, datasets) {
             Ok(r) => r,
             Err(e) => {
-                self.release_all(&procs)?;
+                exec.release(&mut self.chip)?;
                 self.fail_job(job_id, RuntimeError::workload_from(job_id, e));
                 return Ok(());
             }
         };
         let cfg_total = run.config_cycles;
         let exec_total = run.exec_cycles;
-        // The compiler hands down the netlist evaluator's reference
-        // outputs — the staged analogue of the stream/blocks checks,
-        // verified for every dataset in the batch.
+        // The front end hands down its oracle's reference outputs (the
+        // netlist evaluator's, or the IR interpreter's for a block
+        // program) — the staged analogue of the stream check, verified
+        // for every dataset in the batch.
         for (i, out) in outs.iter().enumerate() {
             if let Some(exp) = expected.and_then(|e| e.get(i)) {
                 if out != exp {
-                    self.release_all(&procs)?;
+                    exec.release(&mut self.chip)?;
                     self.fail_job(
                         job_id,
                         RuntimeError::workload(
@@ -1111,37 +1022,6 @@ impl Runtime {
             exec_total,
             duration,
         );
-        Ok(())
-    }
-
-    /// Deploys a program's blocks, releasing any partially-gathered
-    /// processors if the deploy fails midway.
-    fn deploy_blocks(&mut self, program: &vlsi_workloads::Program) -> Option<BlockExecutor> {
-        let before: Vec<ProcessorId> = self.chip.processors().map(|p| p.id).collect();
-        match BlockExecutor::deploy(&mut self.chip, program.partition()) {
-            Ok(exec) => Some(exec),
-            Err(_) => {
-                let leaked: Vec<ProcessorId> = self
-                    .chip
-                    .processors()
-                    .map(|p| p.id)
-                    .filter(|id| !before.contains(id))
-                    .collect();
-                for id in leaked {
-                    let _ = self.chip.release_processor(id);
-                }
-                None
-            }
-        }
-    }
-
-    fn release_all(&mut self, procs: &[ProcessorId]) -> Result<(), RuntimeError> {
-        for p in procs {
-            if self.chip.state(*p) == Ok(ProcState::Active) {
-                self.chip.deactivate(*p)?;
-            }
-            self.chip.release_processor(*p)?;
-        }
         Ok(())
     }
 

@@ -286,27 +286,26 @@ impl Program {
     }
 
     /// Interprets the partitioned form (reference for multi-AP execution):
-    /// walks blocks through terminators.
-    pub fn interpret_blocks(blocks: &[BasicBlock], env: &mut HashMap<String, i64>) {
-        let mut cur = 0usize;
-        let mut steps = 0;
+    /// walks blocks through terminators. Returns the blocks visited, in
+    /// order — the taken path.
+    pub fn interpret_blocks(blocks: &[BasicBlock], env: &mut HashMap<String, i64>) -> Vec<usize> {
+        let mut path = vec![0usize];
         loop {
-            steps += 1;
-            assert!(steps <= blocks.len() + 1, "block graph must be acyclic");
-            let b = &blocks[cur];
+            assert!(path.len() <= blocks.len(), "block graph must be acyclic");
+            let b = &blocks[path[path.len() - 1]];
             for (name, e) in &b.assigns {
                 let v = e.eval(env);
                 env.insert(name.clone(), v);
             }
             match &b.terminator {
-                Terminator::End => break,
-                Terminator::Jump(n) => cur = *n,
+                Terminator::End => return path,
+                Terminator::Jump(n) => path.push(*n),
                 Terminator::Branch {
                     then_block,
                     else_block,
                 } => {
                     let c = b.cond.as_ref().expect("branch has a condition").eval(env);
-                    cur = if c != 0 { *then_block } else { *else_block };
+                    path.push(if c != 0 { *then_block } else { *else_block });
                 }
             }
         }

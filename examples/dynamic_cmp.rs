@@ -13,7 +13,7 @@
 //! manageable").
 
 use std::collections::HashMap;
-use vlsi_processor::core::{BlockExecutor, VlsiChip};
+use vlsi_processor::core::{StagedExecutor, StagedProgram, VlsiChip};
 use vlsi_processor::object::Word;
 use vlsi_processor::topology::Cluster;
 use vlsi_processor::workloads::{figure7, StreamKernel};
@@ -58,27 +58,29 @@ fn main() {
     chip.release_processor(small_a.id).unwrap();
     chip.release_processor(small_b.id).unwrap();
     let blocks = figure7::program().partition();
-    let exec = BlockExecutor::deploy(&mut chip, blocks).expect("deploy");
+    let program = StagedProgram::from_blocks("figure7", &blocks, &[figure7::RESULT_VAR]);
+    let exec = StagedExecutor::deploy(&mut chip, program).expect("deploy");
     let datasets: Vec<HashMap<String, i64>> = (0..10i64)
         .map(|i| HashMap::from([("x".to_string(), i), ("y".to_string(), 9 - i)]))
         .collect();
-    let (results, report) = exec.run_pipelined(&mut chip, &datasets).unwrap();
-    for (i, env) in results.iter().enumerate() {
+    let (results, stats) = exec.run_pipelined(&mut chip, &datasets).unwrap();
+    for (i, out) in results.iter().enumerate() {
         let i = i as i64;
-        assert_eq!(env[figure7::RESULT_VAR], figure7::reference(i, 9 - i));
+        assert_eq!(out, &vec![figure7::reference(i, 9 - i)]);
     }
     println!(
-        "figure-7 pipeline over {} datasets: {} cycles sequential, {} pipelined ({:.2}x)",
-        report.datasets, report.sequential_cycles, report.pipelined_cycles, report.speedup
+        "figure-7 pipeline over {} datasets: {} wavefront ticks instead of {} one by one, \
+         {} activations, regions {}‰ busy",
+        stats.datasets,
+        stats.ticks,
+        stats.datasets * 3,
+        stats.stages_executed,
+        stats.utilization_milli
     );
 
     // --- everything returns to the pool ---------------------------------
     chip.release_processor(big.id).unwrap();
-    for i in 0..4 {
-        if let Some(id) = exec.processor_of(i) {
-            chip.release_processor(id).unwrap();
-        }
-    }
+    exec.release(&mut chip).unwrap();
     println!(
         "released all processors; free={} fragmentation={:.2}",
         chip.free_clusters(),

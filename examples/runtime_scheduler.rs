@@ -49,8 +49,9 @@ fn main() {
         .with_priority(5),
     );
 
-    // The paper's Figure 7 conditional, partitioned into basic blocks —
-    // each non-empty block gets its own 4-cluster processor.
+    // The paper's Figure 7 conditional, partitioned into basic blocks and
+    // lowered to guarded stages — each non-empty block gets its own
+    // 4-cluster processor, and only the taken arm's is ever activated.
     let program = vlsi_processor::workloads::figure7::program();
     let mut env = std::collections::HashMap::new();
     env.insert("x".to_string(), 9i64);

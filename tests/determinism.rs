@@ -2,7 +2,7 @@
 //! inputs give bit-identical metrics and results across runs.
 
 use std::collections::HashMap;
-use vlsi_processor::core::{BlockExecutor, VlsiChip};
+use vlsi_processor::core::{StagedExecutor, StagedProgram, VlsiChip};
 use vlsi_processor::csd::CsdSimulator;
 use vlsi_processor::faults::FaultPlanBuilder;
 use vlsi_processor::runtime::mix::mixed_jobs;
@@ -34,12 +34,14 @@ fn full_scenario() -> (Vec<u64>, u64, u64, Vec<i64>) {
         .collect();
 
     // Partitioned program on four more APs.
-    let exec = BlockExecutor::deploy(&mut chip, figure7::program().partition()).unwrap();
+    let blocks = figure7::program().partition();
+    let program = StagedProgram::from_blocks("figure7", &blocks, &[figure7::RESULT_VAR]);
+    let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
     let mut results = Vec::new();
     for i in 0..6i64 {
         let inputs = HashMap::from([("x".to_string(), i), ("y".to_string(), 3 - i)]);
-        let (env, _) = exec.run(&mut chip, &inputs).unwrap();
-        results.push(env[figure7::RESULT_VAR]);
+        let (out, _) = exec.run(&mut chip, &inputs).unwrap();
+        results.push(out[0]);
     }
     (outputs, cfg.cycles, report.cycles, results)
 }
