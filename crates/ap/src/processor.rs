@@ -412,27 +412,29 @@ impl AdaptiveProcessor {
 
     /// Bookkeeping after a run of resident datapath `index`, shared by
     /// [`execute_datapath`](Self::execute_datapath) and
-    /// [`finish_batch`](Self::finish_batch): advanced register state
-    /// (stream pointers) is persisted into the bound objects so a later
-    /// swap-out writes it to the library, and the report folds into the
-    /// metrics. A failed run persists and folds nothing — the datapath
-    /// keeps whatever registers it reached.
+    /// [`finish_batch`](Self::finish_batch): the registers the datapath
+    /// advanced (stream pointers) are persisted into the bound objects so
+    /// a later swap-out writes them to the library, and the report folds
+    /// into the metrics. A failed run persists and folds nothing — the
+    /// datapath keeps whatever registers it reached, and the next
+    /// successful run persists those too.
     fn settle(
         &mut self,
         index: usize,
         outcome: Result<ExecutionReport, ApError>,
     ) -> Result<ExecutionReport, ApError> {
         let report = outcome?;
-        let Some(dp) = self.datapaths.get(index).and_then(|r| r.dp.as_ref()) else {
+        let Some(dp) = self.datapaths.get_mut(index).and_then(|r| r.dp.as_mut()) else {
             return Err(ApError::EmptyDatapath);
         };
-        for (id, regs) in dp.regs() {
-            if let Some(b) = self.stack.get_mut(id) {
+        let (stack, memory_binds) = (&mut self.stack, &mut self.memory_binds);
+        dp.take_written_regs(|id, regs| {
+            if let Some(b) = stack.get_mut(id) {
                 b.regs = *regs;
-            } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == id) {
+            } else if let Some(b) = memory_binds.iter_mut().find(|b| b.id() == id) {
                 b.regs = *regs;
             }
-        }
+        });
         Datapath::report_metrics(&report, &mut self.metrics);
         Ok(report)
     }
@@ -761,6 +763,73 @@ mod tests {
         for i in 0..4u64 {
             assert_eq!(p.memory(1).unwrap().peek(i).unwrap(), Word((i + 1) * 10));
         }
+    }
+
+    /// Persisting only the registers a run wrote must leave the bound
+    /// objects exactly where persisting every register would: after any
+    /// successful run each bound object's registers are its datapath
+    /// node's. The hard case is a register written by a run that *failed*
+    /// (nothing persisted) and left alone by the successful run after it.
+    #[test]
+    fn settle_persists_what_a_failed_run_wrote_too() {
+        fn assert_bound_regs_are_the_datapaths(p: &AdaptiveProcessor) {
+            for (id, regs) in p.datapaths[0].dp.as_ref().unwrap().regs() {
+                let bound = p
+                    .stack
+                    .get(id)
+                    .or_else(|| p.memory_binds.iter().find(|b| b.id() == id))
+                    .unwrap();
+                assert_eq!(&bound.regs, regs, "{id}");
+            }
+        }
+        // A one-word load stream is the predicate of a steer in front of
+        // a store stream: the store fires iff the word loaded is non-zero.
+        let mut p = ap();
+        let mut pred = LogicalObject::memory(ObjectId(100), LocalConfig::op(Operation::Load));
+        pred.init = vec![Word(0), Word(0), Word(1)];
+        let mut store = LogicalObject::memory(ObjectId(101), LocalConfig::op(Operation::Store));
+        store.init = vec![Word(0), Word(1), Word(0)];
+        p.install([
+            pred,
+            store,
+            const_obj(0, 5),
+            unary_obj(1, Operation::SteerTrue, 0),
+        ])
+        .unwrap();
+        p.memory_mut(0)
+            .unwrap()
+            .store_slice(0, &[Word(1), Word(1), Word(0)])
+            .unwrap();
+        let stream: GlobalConfigStream = [
+            GlobalConfigElement::unary(ObjectId(1), ObjectId(0)).with_pred(ObjectId(100)),
+            GlobalConfigElement {
+                sink: ObjectId(101),
+                src_lhs: None,
+                src_rhs: Some(ObjectId(1)),
+                src_pred: None,
+            },
+        ]
+        .into_iter()
+        .collect();
+        p.configure(stream).unwrap();
+        let store_pointer = |p: &AdaptiveProcessor| p.memory_binds[1].regs[0];
+
+        assert_eq!(p.execute(0, 100_000).unwrap().stores, 1);
+        assert_bound_regs_are_the_datapaths(&p);
+        assert_eq!(store_pointer(&p), Word(1));
+        // The budget expires on the cycle the store fires: the pointer
+        // moved in the datapath, and a failed run persists nothing.
+        assert!(matches!(
+            p.execute(0, 6),
+            Err(ApError::ExecutionTimeout { cycles: 6 })
+        ));
+        assert_eq!(p.memory(1).unwrap().write_count(), 2);
+        assert_eq!(store_pointer(&p), Word(1));
+        // A zero predicate keeps the store dark for the whole run, which
+        // drains — and carries the stranded pointer home.
+        assert_eq!(p.execute(0, 100_000).unwrap().stores, 0);
+        assert_bound_regs_are_the_datapaths(&p);
+        assert_eq!(store_pointer(&p), Word(2));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! nothing more: the resident [`Datapath`] (already flat slabs — see
 //! [`datapath`](crate::datapath)) and the AP's memory blocks, both
 //! *moved* out by [`AdaptiveProcessor::begin_batch_at`] and moved back by
-//! [`AdaptiveProcessor::finish_batch`]. Nothing is copied or allocated on
-//! either side, and the sweep drives the same
-//! [`Datapath::step`] a single `execute` does.
+//! [`AdaptiveProcessor::finish_batch`]. The move copies and allocates
+//! nothing (the run's report is built when the lane comes back), and the
+//! sweep drives the same [`Datapath::step`] a single `execute` does.
 //!
 //! [`AdaptiveProcessor::begin_batch_at`]: crate::processor::AdaptiveProcessor::begin_batch_at
 //! [`AdaptiveProcessor::finish_batch`]: crate::processor::AdaptiveProcessor::finish_batch

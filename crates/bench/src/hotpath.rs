@@ -658,7 +658,7 @@ fn sweep_digest(chip: &mut VlsiChip, ids: &[ProcessorId], reports: &[ExecutionRe
     for (i, (&id, r)) in ids.iter().zip(reports).enumerate() {
         let mut taps: Vec<(u32, &Vec<Word>)> = r.taps.iter().map(|(o, v)| (o.0, v)).collect();
         taps.sort_unstable_by_key(|(o, _)| *o);
-        let mut firings: Vec<(u32, u64)> = r.node_firings.iter().map(|(o, &n)| (o.0, n)).collect();
+        let mut firings: Vec<(u32, u64)> = r.node_firings.iter().map(|&(o, n)| (o.0, n)).collect();
         firings.sort_unstable_by_key(|(o, _)| *o);
         let _ = writeln!(
             text,

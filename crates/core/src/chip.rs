@@ -16,7 +16,7 @@ use crate::state::ProcState;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vlsi_ap::{AdaptiveProcessor, ConfigureOutcome, ExecutionReport, SoaLane};
+use vlsi_ap::{AdaptiveProcessor, ApError, ConfigureOutcome, ExecutionReport, SoaLane};
 use vlsi_noc::NocNetwork;
 use vlsi_object::{GlobalConfigStream, LogicalObject, ObjectId, Word};
 use vlsi_par::Pool;
@@ -858,21 +858,9 @@ impl VlsiChip {
         for id in ids {
             self.require_state(*id, ProcState::Active)?;
         }
-        // Duplicate check via a sorted copy (the quadratic prefix scan
-        // dominated batch setup at 1024 lanes); on detection, re-scan to
-        // report the same id the prefix scan would have.
-        let mut sorted = ids.to_vec();
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
-            for (i, id) in ids.iter().enumerate() {
-                if ids[..i].contains(id) {
-                    return Err(CoreError::DuplicateInBatch(*id));
-                }
-            }
-        }
         // Move every AP's datapath + memory out into a lane.
         let mut lanes: Vec<SoaLane> = Vec::with_capacity(ids.len());
-        for id in ids {
+        for (i, id) in ids.iter().enumerate() {
             match self.processor_mut(*id)?.ap.begin_batch() {
                 Ok(lane) => lanes.push(lane),
                 Err(e) => {
@@ -881,7 +869,14 @@ impl VlsiChip {
                     for (done, lane) in ids.iter().zip(lanes.drain(..)) {
                         let _ = self.processor_mut(*done)?.ap.finish_batch(lane);
                     }
-                    return Err(e.into());
+                    // A processor named twice shows up here for free: its
+                    // datapath left with the first mention.
+                    return Err(match e {
+                        ApError::EmptyDatapath if ids[..i].contains(id) => {
+                            CoreError::DuplicateInBatch(*id)
+                        }
+                        e => e.into(),
+                    });
                 }
             }
         }
@@ -938,7 +933,7 @@ impl VlsiChip {
         let p = self.processor_mut(id)?;
         let mem =
             p.ap.memory_mut(block)
-                .ok_or(CoreError::UnknownProcessor(id))?;
+                .ok_or(CoreError::UnknownBlock { id, block })?;
         mem.store_slice(addr, words)?;
         Ok(())
     }
@@ -1041,7 +1036,7 @@ impl VlsiChip {
             let p = self.processor_mut(to)?;
             let mem =
                 p.ap.memory_mut(block)
-                    .ok_or(CoreError::UnknownProcessor(to))?;
+                    .ok_or(CoreError::UnknownBlock { id: to, block })?;
             mem.store_slice(addr, &words)?;
         }
         Ok(latency)
@@ -1063,7 +1058,7 @@ impl VlsiChip {
         let p = self.processor_mut(id)?;
         let mem =
             p.ap.memory_mut(block)
-                .ok_or(CoreError::UnknownProcessor(id))?;
+                .ok_or(CoreError::UnknownBlock { id, block })?;
         Ok(mem.load_slice(addr, len)?)
     }
 }
@@ -1196,6 +1191,11 @@ mod tests {
         // Inactive: writable.
         c.write_mailbox(id, 0, 0, &[Word(42)]).unwrap();
         assert_eq!(c.read_mailbox(id, 0, 0, 1).unwrap(), vec![Word(42)]);
+        // A block the (known) processor does not have is named as such.
+        let block = c.processor(id).unwrap().ap.config().memory_objects;
+        let err = c.write_mailbox(id, block, 0, &[Word(1)]).unwrap_err();
+        assert_eq!(err, CoreError::UnknownBlock { id, block });
+        assert_eq!(err.to_string(), format!("{id} has no memory block {block}"));
         // Active: protected.
         c.activate(id).unwrap();
         assert!(matches!(

@@ -25,6 +25,13 @@ pub enum CoreError {
     DefectiveCluster(Coord),
     /// The processor ID is not allocated.
     UnknownProcessor(ProcessorId),
+    /// The processor has no memory block with this index.
+    UnknownBlock {
+        /// The processor addressed.
+        id: ProcessorId,
+        /// The block index it does not have.
+        block: usize,
+    },
     /// An operation required a different lifecycle state.
     BadState {
         /// The processor involved.
@@ -85,6 +92,9 @@ impl fmt::Display for CoreError {
             CoreError::OutOfGrid(c) => write!(f, "cluster {c} outside the chip"),
             CoreError::DefectiveCluster(c) => write!(f, "cluster {c} is defective"),
             CoreError::UnknownProcessor(id) => write!(f, "unknown processor {id}"),
+            CoreError::UnknownBlock { id, block } => {
+                write!(f, "{id} has no memory block {block}")
+            }
             CoreError::BadState {
                 id,
                 current,

@@ -412,17 +412,6 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         Ok((outputs.pop().unwrap_or_default(), stats))
     }
 
-    /// Program outputs read from a finished environment, in
-    /// [`StagedProgram::outputs`] order (absent values read as 0,
-    /// matching the mailbox default).
-    fn outputs_from(&self, env: &HashMap<String, i64>) -> Vec<i64> {
-        self.program()
-            .outputs
-            .iter()
-            .map(|(_, var)| env.get(var).copied().unwrap_or(0))
-            .collect()
-    }
-
     /// Runs the program for a *batch* of input environments with the
     /// stages overlapped across datasets — the paper's Fig. 7(d)
     /// operating mode, where successive datasets stream through the
@@ -492,13 +481,67 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
     /// the current tick's in-flight (stage, dataset) slots, rebuilt each
     /// tick in ascending (level, stage) order — the deterministic drain
     /// order — and left as the failing tick's on an error.
+    ///
+    /// Value names are resolved to dense slots once, up front; a
+    /// dataset's environment is then a row of `Option<i64>` (presence is
+    /// what a guard tests), filled from the caller's map by lookup, and
+    /// the tick loop indexes rows — no name is hashed or cloned per tick.
     fn wavefront(
         &self,
         chip: &mut VlsiChip,
         datasets: &[HashMap<String, i64>],
         active: &mut Vec<(usize, usize)>,
     ) -> Result<(Vec<Vec<i64>>, PipelineRunStats), CoreError> {
-        let stages = &self.program().stages;
+        /// One stage's contracts with its names resolved to slots.
+        struct StageSlots {
+            guard: Option<(usize, bool)>,
+            /// `(slot, mailbox memory block)`.
+            inputs: Vec<(usize, usize)>,
+            /// `(slot, probe object)`.
+            outputs: Vec<(usize, ObjectId)>,
+        }
+        /// The slot of `name`, handed out in order of first mention.
+        fn slot_of<'a>(
+            name: &'a str,
+            names: &mut Vec<&'a str>,
+            index: &mut HashMap<&'a str, usize>,
+        ) -> usize {
+            *index.entry(name).or_insert_with(|| {
+                names.push(name);
+                names.len() - 1
+            })
+        }
+        let program = self.program();
+        let stages = &program.stages;
+        let (mut names, mut index) = (Vec::new(), HashMap::new());
+        let mut slot = |name| slot_of(name, &mut names, &mut index);
+        let plan: Vec<StageSlots> = stages
+            .iter()
+            .map(|stage| StageSlots {
+                guard: stage.guard.as_ref().map(|(v, flag)| (slot(v), *flag)),
+                inputs: stage.inputs.iter().map(|(v, b)| (slot(v), *b)).collect(),
+                outputs: stage.outputs.iter().map(|(v, t)| (slot(v), *t)).collect(),
+            })
+            .collect();
+        let out_slots: Vec<usize> = program.outputs.iter().map(|(_, v)| slot(v)).collect();
+        // Row `d` of `envs` is dataset `d`'s environment; keys of the
+        // caller's map that the program never names are never looked at.
+        let width = names.len();
+        let mut envs: Vec<Option<i64>> = datasets
+            .iter()
+            .flat_map(|ds| names.iter().map(|&name| ds.get(name).copied()))
+            .collect();
+        // Program outputs in [`StagedProgram::outputs`] order (absent
+        // values read as 0, matching the mailbox default).
+        let outputs = |envs: &[Option<i64>]| -> Vec<Vec<i64>> {
+            (0..datasets.len())
+                .map(|d| {
+                    let row = &envs[d * width..][..width];
+                    out_slots.iter().map(|&s| row[s].unwrap_or(0)).collect()
+                })
+                .collect()
+        };
+
         let levels = self.levels();
         let depth = levels.len();
         let n = datasets.len();
@@ -506,10 +549,8 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
             datasets: n as u64,
             ..PipelineRunStats::default()
         };
-        let mut envs: Vec<HashMap<String, i64>> = datasets.to_vec();
         if depth == 0 || n == 0 {
-            let outputs = envs.iter().map(|env| self.outputs_from(env)).collect();
-            return Ok((outputs, stats));
+            return Ok((outputs(&envs), stats));
         }
         let ticks = depth + n - 1;
         stats.ticks = ticks as u64;
@@ -523,23 +564,23 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                     continue;
                 }
                 let d = t - l;
+                let row = &envs[d * width..][..width];
                 for &j in level {
-                    let stage = &stages[j];
-                    if let Some((var, flag)) = &stage.guard {
-                        if envs[d].get(var).map(|&c| c != 0) != Some(*flag) {
+                    if let Some((s, flag)) = plan[j].guard {
+                        if row[s].map(|c| c != 0) != Some(flag) {
                             continue;
                         }
                     }
                     let proc = self.procs[j];
-                    for (var, mem_block) in &stage.inputs {
-                        let v = envs[d].get(var).copied().unwrap_or(0);
-                        chip.write_mailbox(proc, *mem_block, 0, &[Word::from_i64(v)])?;
+                    for &(s, mem_block) in &plan[j].inputs {
+                        let v = row[s].unwrap_or(0);
+                        chip.write_mailbox(proc, mem_block, 0, &[Word::from_i64(v)])?;
                         stats.mailbox_writes += 1;
                     }
                     chip.activate(proc)?;
                     active.push((j, d));
                     if !configured[j] {
-                        let cfg = chip.configure(proc, Arc::clone(&stage.stream))?;
+                        let cfg = chip.configure(proc, Arc::clone(&stages[j].stream))?;
                         stats.config_cycles += cfg.cycles;
                         configured[j] = true;
                     }
@@ -549,20 +590,19 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
             ids.extend(active.iter().map(|&(j, _)| self.procs[j]));
             let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
             for (&(j, d), report) in active.iter().zip(&reports) {
-                let stage = &stages[j];
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
                 busy_ticks[j] += 1;
-                for (var, tap) in &stage.outputs {
+                for &(s, tap) in &plan[j].outputs {
                     let word = report
                         .taps
-                        .get(tap)
+                        .get(&tap)
                         .and_then(|v| v.first())
                         .ok_or_else(|| CoreError::MissingOutput {
-                            stage: stage.name.clone(),
-                            value: var.clone(),
+                            stage: stages[j].name.clone(),
+                            value: names[s].to_string(),
                         })?;
-                    envs[d].insert(var.clone(), word.as_i64());
+                    envs[d * width + s] = Some(word.as_i64());
                 }
                 chip.deactivate(self.procs[j])?;
             }
@@ -581,8 +621,7 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                 (b * 1000 / stats.ticks) as i64,
             );
         }
-        let outputs = envs.iter().map(|env| self.outputs_from(env)).collect();
-        Ok((outputs, stats))
+        Ok((outputs(&envs), stats))
     }
 
     /// The deployed program.
@@ -1084,6 +1123,26 @@ mod tests {
         assert_eq!(exec.run(&mut chip, &xy(100, 0)).unwrap().0, vec![101]);
         assert_eq!(exec.run(&mut chip, &xy(0, 100)).unwrap().0, vec![102]);
         exec.release(&mut chip).unwrap();
+
+        // A guard may name a value no stage produces: the dataset
+        // decides, and a dataset without it leaves the stage dark.
+        let mut gated = two_stage_program();
+        gated.stages[1].guard = Some(("go".to_string(), true));
+        let exec = StagedExecutor::deploy(&mut chip, gated).unwrap();
+        let mut env: HashMap<String, i64> = [("a", 2), ("b", 3), ("c", 4)]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        for (go, out, stages) in [(None, 0, 1), (Some(1), 20, 2), (Some(0), 0, 1)] {
+            env.extend(go.map(|v| ("go".to_string(), v)));
+            let (outputs, stats) = exec.run(&mut chip, &env).unwrap();
+            assert_eq!(
+                (outputs, stats.stages_executed),
+                (vec![out], stages),
+                "{go:?}"
+            );
+        }
+        exec.release(&mut chip).unwrap();
     }
 
     /// Figure 7(d): the block processors overlap across datasets — the
@@ -1140,7 +1199,8 @@ mod tests {
                 Stmt::Assign("z".into(), Expr::Const(7)),
             ],
         };
-        let program = StagedProgram::from_blocks("dark", &source.partition(), &["out", "z"]);
+        // `x` as a program output names a dataset input no stage writes.
+        let program = StagedProgram::from_blocks("dark", &source.partition(), &["out", "z", "x"]);
         assert_eq!(program.levels(), vec![vec![0], vec![1], vec![2]]);
         let mut chip = VlsiChip::new(8, 8, Cluster::default());
         let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
@@ -1148,9 +1208,11 @@ mod tests {
         for (x, y, stages) in [(5i64, 1i64, 3u64), (1, 5, 2)] {
             let mut env = xy(x, y);
             env.insert("z".into(), 20);
+            // A key the program never names is never looked at.
+            env.insert("bystander".into(), -1);
             let (out, stats) = exec.run(&mut chip, &env).unwrap();
             source.interpret(&mut env);
-            assert_eq!(out, vec![env["out"], env["z"]]);
+            assert_eq!(out, vec![env["out"], env["z"], x]);
             assert_eq!(stats.ticks, 3);
             assert_eq!(stats.stages_executed, stages);
         }

@@ -112,17 +112,40 @@ impl MemoryBlock {
         Ok(self.words.get(addr as usize).copied().unwrap_or(Word::ZERO))
     }
 
-    /// Bulk-writes a slice starting at `addr`.
-    pub fn store_slice(&mut self, addr: u64, values: &[Word]) -> Result<(), ObjectError> {
-        for (i, v) in values.iter().enumerate() {
-            self.store(addr + i as u64, *v)?;
+    /// The word range `addr .. addr + len`, if all of it lies inside the
+    /// block; otherwise the error names the first address that does not.
+    fn span(addr: u64, len: usize) -> Result<std::ops::Range<usize>, ObjectError> {
+        let start = addr.min(MEMORY_WORDS as u64) as usize;
+        if len <= MEMORY_WORDS - start {
+            return Ok(start..start + len);
         }
+        Err(ObjectError::AddressOutOfRange {
+            addr: addr.max(MEMORY_WORDS as u64),
+            capacity: MEMORY_WORDS,
+        })
+    }
+
+    /// Bulk-writes a slice starting at `addr`. All or nothing: a slice
+    /// that does not fit the block is refused before any word is written.
+    pub fn store_slice(&mut self, addr: u64, values: &[Word]) -> Result<(), ObjectError> {
+        let span = Self::span(addr, values.len())?;
+        if span.end > self.words.len() {
+            self.words.resize(span.end, Word::ZERO);
+        }
+        self.words[span].copy_from_slice(values);
+        self.writes += values.len() as u64;
         Ok(())
     }
 
     /// Bulk-reads `len` words starting at `addr`.
     pub fn load_slice(&mut self, addr: u64, len: usize) -> Result<Vec<Word>, ObjectError> {
-        (0..len).map(|i| self.load(addr + i as u64)).collect()
+        let span = Self::span(addr, len)?;
+        // The untouched tail of the block reads as zero.
+        let touched = span.start.min(self.words.len())..span.end.min(self.words.len());
+        let mut out = self.words[touched].to_vec();
+        out.resize(len, Word::ZERO);
+        self.reads += len as u64;
+        Ok(out)
     }
 
     /// Total successful reads since construction.
@@ -170,10 +193,34 @@ mod tests {
             m.load_slice(10, 3).unwrap(),
             vec![Word(1), Word(2), Word(3)]
         );
-        // A slice crossing the end fails.
-        assert!(m
-            .store_slice(MEMORY_WORDS as u64 - 1, &[Word(1), Word(2)])
-            .is_err());
+        // A slice crossing the end is refused whole: the word that
+        // would have fitted is not written, and nothing is counted.
+        let last = MEMORY_WORDS as u64 - 1;
+        let (reads, writes) = (m.read_count(), m.write_count());
+        assert_eq!(
+            m.store_slice(last, &[Word(1), Word(2)]),
+            Err(ObjectError::AddressOutOfRange {
+                addr: MEMORY_WORDS as u64,
+                capacity: MEMORY_WORDS
+            })
+        );
+        assert!(m.load_slice(last, 2).is_err());
+        assert!(m.store_slice(u64::MAX, &[Word(1)]).is_err());
+        assert_eq!(m.peek(last).unwrap(), Word::ZERO);
+        assert_eq!((m.read_count(), m.write_count()), (reads, writes));
+        // A slice that is the whole block fits, and an untouched tail
+        // reads back as zeros.
+        let block = vec![Word(7); MEMORY_WORDS];
+        m.store_slice(0, &block).unwrap();
+        assert_eq!(m.load_slice(0, MEMORY_WORDS).unwrap(), block);
+        assert_eq!(m.write_count(), writes + MEMORY_WORDS as u64);
+        let mut fresh = MemoryBlock::new();
+        fresh.store(1, Word(9)).unwrap();
+        assert_eq!(
+            fresh.load_slice(0, 4).unwrap(),
+            vec![Word::ZERO, Word(9), Word::ZERO, Word::ZERO]
+        );
+        assert_eq!(fresh.load_slice(last, 1).unwrap(), vec![Word::ZERO]);
     }
 
     #[test]
