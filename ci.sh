@@ -16,10 +16,11 @@ echo "== cargo test -q"
 # x 3 arrival profiles x chip-down storm).
 cargo test -q --workspace --offline
 
-echo "== property tests, --release (placement: the only guard on relocate's early return; block programs vs the interpreter; the mask engine vs the Option-latch reference)"
-cargo test -q --offline --release -p vlsi-core -p vlsi-ap --lib --test properties -- \
+echo "== property tests, --release (placement: the only guard on relocate's early return; block programs vs the interpreter; the mask engine vs the Option-latch reference; the slot-table stream optimizer vs the HashMap reference; sequential-fill partition vs the scored reference)"
+cargo test -q --offline --release -p vlsi-core -p vlsi-ap -p vlsi-workloads -p vlsi-compile --lib --test properties -- \
   relocation_matches_the_always_reprogram_reference free_space_cache_matches_a_fresh_finder \
-  structured_programs_match_the_interpreter mask_engine_matches_the_option_latch_reference
+  structured_programs_match_the_interpreter mask_engine_matches_the_option_latch_reference \
+  slot_tables_match_the_hashmap_reference matches_the_scored_reference_on_generated_graphs
 
 echo "== core.relocations vs moved (acceptance run: every relocation is a move)"
 # A chip that re-programs processors where they stand counts more

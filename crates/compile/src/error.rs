@@ -1,6 +1,7 @@
 //! Typed compiler errors.
 
-use crate::netlist::NetlistError;
+use crate::netlist::{NetlistError, NodeId};
+use crate::pipeline::Pass;
 
 /// Everything that can stop the pipeline, by pass.
 #[derive(Clone, PartialEq, Debug)]
@@ -35,6 +36,20 @@ pub enum CompileError {
         /// Memory objects the region provides.
         capacity: usize,
     },
+    /// A pass was handed an artifact that breaks the contract of the
+    /// pass before it (cannot happen through [`compile`](crate::compile),
+    /// whose passes feed each other; the passes are public, so a caller
+    /// chaining them by hand gets an error instead of a panic).
+    BrokenArtifact {
+        /// The pass that found it.
+        pass: Pass,
+        /// Stage index.
+        stage: usize,
+        /// The offending node, where there is one.
+        node: Option<NodeId>,
+        /// Which contract was broken.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -65,6 +80,18 @@ impl std::fmt::Display for CompileError {
                 f,
                 "stage {stage}: {channels} mailbox channels exceed {capacity} memory objects"
             ),
+            CompileError::BrokenArtifact {
+                pass,
+                stage,
+                node,
+                what,
+            } => {
+                write!(f, "{}: stage {stage}", pass.name())?;
+                if let Some(node) = node {
+                    write!(f, ", node {node}")?;
+                }
+                write!(f, ": {what}")
+            }
         }
     }
 }

@@ -14,9 +14,9 @@
 //!    1-line-numbered errors and a byte-identical [`Netlist::render`]
 //!    round trip;
 //! 2. [`partition`] — **partition**: the DAG is cut into pipeline
-//!    stages of bounded size, generalising the basic-block partitioner
-//!    with a cut-size heuristic (operands pull nodes toward their
-//!    producers' stages; constants duplicate locally for free);
+//!    stages of bounded size, generalising the basic-block partitioner:
+//!    nodes fill stages in definition order (constants duplicate
+//!    locally for free);
 //! 3. [`shape`] — **shape**: each stage picks a rectangular AP region
 //!    sized by the §4 cost model (minimum area, then minimum
 //!    perimeter-weighted wire delay for the configured ITRS year);

@@ -24,7 +24,8 @@
 //! text and rendering it again is byte-identical (the round-trip
 //! property tests pin this).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use vlsi_workloads::program::BinOp;
 
 /// Parse errors, with the 1-based source line (0 = whole-file).
@@ -105,41 +106,45 @@ fn parse_op(s: &str) -> Option<BinOp> {
 impl Netlist {
     /// Parses netlist text. Errors carry the 1-based line number.
     pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
+        /// Declares `n` as the next node; the error is the message.
+        fn define<'t>(
+            n: &'t str,
+            op: NetOp,
+            nodes: &mut Vec<NetNode>,
+            by_name: &mut HashMap<&'t str, NodeId>,
+        ) -> Result<(), String> {
+            match by_name.entry(n) {
+                Entry::Occupied(_) => Err(format!("duplicate name `{n}`")),
+                Entry::Vacant(slot) => {
+                    slot.insert(nodes.len());
+                    nodes.push(NetNode {
+                        name: n.to_string(),
+                        op,
+                    });
+                    Ok(())
+                }
+            }
+        }
         let mut name: Option<String> = None;
         let mut nodes: Vec<NetNode> = Vec::new();
         let mut outputs: Vec<(String, NodeId)> = Vec::new();
-        let mut by_name: HashMap<String, NodeId> = HashMap::new();
-        let mut output_names: Vec<String> = Vec::new();
+        // Both keyed by slices of `text`: a name is copied once, into the
+        // node or output that owns it.
+        let mut by_name: HashMap<&str, NodeId> = HashMap::new();
+        let mut output_names: HashSet<&str> = HashSet::new();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
             let err = |message: String| NetlistError {
                 line: line_no,
                 message,
             };
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let mut tok = raw.split('#').next().unwrap_or("").split_whitespace();
+            let Some(kw) = tok.next() else {
                 continue;
-            }
-            let mut tok = line.split_whitespace();
-            let kw = tok.next().expect("non-empty line");
+            };
             if name.is_none() && kw != "graph" {
                 return Err(err("expected `graph NAME` before declarations".into()));
             }
-            let define = |n: &str,
-                          op: NetOp,
-                          nodes: &mut Vec<NetNode>,
-                          by_name: &mut HashMap<String, NodeId>|
-             -> Result<(), NetlistError> {
-                if by_name.contains_key(n) {
-                    return Err(err(format!("duplicate name `{n}`")));
-                }
-                by_name.insert(n.to_string(), nodes.len());
-                nodes.push(NetNode {
-                    name: n.to_string(),
-                    op,
-                });
-                Ok(())
-            };
             match kw {
                 "graph" => {
                     if name.is_some() {
@@ -150,7 +155,7 @@ impl Netlist {
                 }
                 "input" => {
                     let n = tok.next().ok_or_else(|| err("input needs a name".into()))?;
-                    define(n, NetOp::Input, &mut nodes, &mut by_name)?;
+                    define(n, NetOp::Input, &mut nodes, &mut by_name).map_err(err)?;
                 }
                 "const" => {
                     let n = tok.next().ok_or_else(|| err("const needs a name".into()))?;
@@ -158,7 +163,7 @@ impl Netlist {
                         .next()
                         .and_then(|t| t.parse::<i64>().ok())
                         .ok_or_else(|| err(format!("const `{n}` needs an integer value")))?;
-                    define(n, NetOp::Const(v), &mut nodes, &mut by_name)?;
+                    define(n, NetOp::Const(v), &mut nodes, &mut by_name).map_err(err)?;
                 }
                 "node" => {
                     let n = tok.next().ok_or_else(|| err("node needs a name".into()))?;
@@ -177,7 +182,7 @@ impl Netlist {
                     };
                     let a = operand("first")?;
                     let b = operand("second")?;
-                    define(n, NetOp::Bin(op, a, b), &mut nodes, &mut by_name)?;
+                    define(n, NetOp::Bin(op, a, b), &mut nodes, &mut by_name).map_err(err)?;
                 }
                 "output" => {
                     let n = tok
@@ -190,10 +195,9 @@ impl Netlist {
                         .get(src)
                         .copied()
                         .ok_or_else(|| err(format!("undefined output source `{src}`")))?;
-                    if output_names.contains(&n.to_string()) {
+                    if !output_names.insert(n) {
                         return Err(err(format!("duplicate output `{n}`")));
                     }
-                    output_names.push(n.to_string());
                     outputs.push((n.to_string(), id));
                 }
                 other => return Err(err(format!("unknown keyword `{other}`"))),

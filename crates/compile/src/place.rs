@@ -18,6 +18,7 @@
 //!   guess.
 
 use crate::error::CompileError;
+use crate::pipeline::Pass;
 use crate::shape::Shape;
 use vlsi_topology::switch::RegionTag;
 use vlsi_topology::{Coord, FabricIndex, Region};
@@ -75,8 +76,20 @@ pub fn place(
         }
         regions[i] = Some(region);
     }
+    let regions = regions
+        .into_iter()
+        .enumerate()
+        .map(|(stage, r)| {
+            r.ok_or(CompileError::BrokenArtifact {
+                pass: Pass::Place,
+                stage,
+                node: None,
+                what: "a stage left without a region",
+            })
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Placement {
-        regions: regions.into_iter().map(|r| r.expect("placed")).collect(),
+        regions,
         chip_width,
         chip_height,
         defects: defects.to_vec(),

@@ -25,13 +25,16 @@ use crate::channels::Channels;
 use crate::error::CompileError;
 use crate::netlist::{NetOp, Netlist, NodeId};
 use crate::partition::Partition;
+use crate::pipeline::Pass;
 use crate::place::Placement;
-use std::collections::HashMap;
 use vlsi_core::{StagedProgram, StagedStage};
 use vlsi_object::{
     GlobalConfigElement, GlobalConfigStream, LocalConfig, LogicalObject, ObjectId, Operation, Word,
 };
 use vlsi_workloads::optimize_stream;
+
+/// "This node has no object in the stage being lowered."
+const ABSENT: ObjectId = ObjectId(u32::MAX);
 
 /// Lowers the partitioned, placed, channel-assigned graph to the
 /// executable artifact.
@@ -41,22 +44,42 @@ pub fn schedule(
     placement: &Placement,
     channels: &Channels,
 ) -> Result<StagedProgram, CompileError> {
-    let mut stages = Vec::with_capacity(part.stages.len());
+    let broken =
+        |stage: usize, node: Option<NodeId>, what: &'static str| CompileError::BrokenArtifact {
+            pass: Pass::Schedule,
+            stage,
+            node,
+            what,
+        };
+    let n_stages = part.stages.len();
+    if channels.stages.len() != n_stages || placement.regions.len() != n_stages {
+        let what = "channels and placement must cover every partition stage";
+        return Err(broken(n_stages, None, what));
+    }
+    // src_of[node]: the object carrying the node's value in the stage
+    // being lowered. One table for the whole netlist; each stage clears
+    // the entries it set on its way out.
+    let mut src_of = vec![ABSENT; netlist.nodes.len()];
+    let mut stages = Vec::with_capacity(n_stages);
     for (i, st) in part.stages.iter().enumerate() {
         let binds = &channels.stages[i].bindings;
-        let mut objects: Vec<LogicalObject> = Vec::new();
-        let mut elements: Vec<GlobalConfigElement> = Vec::new();
+        let locals = st.nodes.len() + st.consts.len() + st.live_outs.len();
+        let mut objects: Vec<LogicalObject> = Vec::with_capacity(2 * binds.len() + locals);
+        let mut elements: Vec<GlobalConfigElement> =
+            Vec::with_capacity(binds.len() + st.nodes.len() + st.live_outs.len());
         let mut next_id = 0u32;
         let mut fresh = || {
             let id = ObjectId(next_id);
             next_id += 1;
             id
         };
+        let konst = |id: ObjectId, v: Word| {
+            LogicalObject::compute(id, LocalConfig::with_imm(Operation::Const, v))
+        };
 
-        // Mailbox loads + their address constants.
-        let mut src_of: HashMap<NodeId, ObjectId> = HashMap::new();
+        // Mailbox loads (objects 0..binds.len()), then their address
+        // constants.
         let mut inputs = Vec::with_capacity(binds.len());
-        let mut addrs = Vec::with_capacity(binds.len());
         for &(node, block) in binds {
             let mem = fresh();
             objects.push(
@@ -66,17 +89,13 @@ pub fn schedule(
                     Word(0),
                 ]),
             );
-            src_of.insert(node, mem);
+            src_of[node] = mem;
             inputs.push((netlist.nodes[node].name.clone(), block));
-            addrs.push(mem);
         }
-        for &mem in &addrs {
+        for mem in 0..binds.len() as u32 {
             let addr = fresh();
-            objects.push(LogicalObject::compute(
-                addr,
-                LocalConfig::with_imm(Operation::Const, Word(0)),
-            ));
-            elements.push(GlobalConfigElement::unary(mem, addr));
+            objects.push(konst(addr, Word(0)));
+            elements.push(GlobalConfigElement::unary(ObjectId(mem), addr));
         }
 
         // Assigned nodes: binary compute objects and output-constants.
@@ -84,43 +103,46 @@ pub fn schedule(
         // local-const loop below skips them.)
         for &id in &st.nodes {
             let obj = fresh();
-            match netlist.nodes[id].op {
-                NetOp::Bin(op, ..) => {
-                    objects.push(LogicalObject::compute(obj, LocalConfig::op(op.operation())));
-                }
-                NetOp::Const(v) => {
-                    objects.push(LogicalObject::compute(
-                        obj,
-                        LocalConfig::with_imm(Operation::Const, Word::from_i64(v)),
-                    ));
-                }
-                NetOp::Input => unreachable!("inputs are never assigned to stages"),
-            }
-            src_of.insert(id, obj);
+            objects.push(match netlist.nodes[id].op {
+                NetOp::Bin(op, ..) => LogicalObject::compute(obj, LocalConfig::op(op.operation())),
+                NetOp::Const(v) => konst(obj, Word::from_i64(v)),
+                NetOp::Input => return Err(broken(i, Some(id), "an input assigned to a stage")),
+            });
+            src_of[id] = obj;
         }
 
         // Local constants not already materialised as assigned nodes.
         for &c in &st.consts {
-            if src_of.contains_key(&c) {
+            if src_of[c] != ABSENT {
                 continue;
             }
             let NetOp::Const(v) = netlist.nodes[c].op else {
-                unreachable!("partition consts are Const nodes");
+                return Err(broken(
+                    i,
+                    Some(c),
+                    "a non-constant among a stage's constants",
+                ));
             };
             let obj = fresh();
-            objects.push(LogicalObject::compute(
-                obj,
-                LocalConfig::with_imm(Operation::Const, Word::from_i64(v)),
-            ));
-            src_of.insert(c, obj);
+            objects.push(konst(obj, Word::from_i64(v)));
+            src_of[c] = obj;
         }
+
+        // A value the stage reads must be bound, assigned or constant here.
+        let value_of = |node: NodeId| match src_of[node] {
+            ABSENT => Err(broken(
+                i,
+                Some(node),
+                "a value read that the stage never receives",
+            )),
+            obj => Ok(obj),
+        };
 
         // Dataflow elements, in node (definition) order.
         for &id in &st.nodes {
             if let NetOp::Bin(_, a, b) = netlist.nodes[id].op {
-                let lhs = src_of[&a];
-                let rhs = src_of[&b];
-                elements.push(GlobalConfigElement::binary(src_of[&id], lhs, rhs));
+                let (lhs, rhs) = (value_of(a)?, value_of(b)?);
+                elements.push(GlobalConfigElement::binary(src_of[id], lhs, rhs));
             }
         }
 
@@ -132,11 +154,19 @@ pub fn schedule(
                 probe,
                 LocalConfig::op(Operation::Pass),
             ));
-            elements.push(GlobalConfigElement::unary(probe, src_of[&id]));
+            elements.push(GlobalConfigElement::unary(probe, value_of(id)?));
             outputs.push((netlist.nodes[id].name.clone(), probe));
         }
 
-        let raw: GlobalConfigStream = elements.into_iter().collect();
+        for node in binds
+            .iter()
+            .map(|&(node, _)| node)
+            .chain(st.nodes.iter().chain(&st.consts).copied())
+        {
+            src_of[node] = ABSENT;
+        }
+
+        let raw = GlobalConfigStream::from_elements(elements);
         // Behind an Arc so every configure of the deployed stage —
         // including each re-deploy of a pipelined batch — shares this
         // one allocation instead of cloning the elements.
@@ -200,6 +230,46 @@ mod tests {
                 assert_eq!(got, n.evaluate(&env), "max_nodes={max_nodes} x={x} y={y}");
             }
         }
+    }
+
+    /// The passes are public: artifacts edited or mixed by hand reach
+    /// `schedule` as typed errors naming the stage and node, not panics.
+    #[test]
+    fn broken_artifacts_fail_typed() {
+        let cluster = Cluster::default();
+        let n =
+            Netlist::parse("graph g\ninput x\nconst k 3\nnode a mul x k\noutput o a\n").unwrap();
+        let p = partition(&n, 12);
+        let s = shape(&n, &p, &cluster, 16, 16, 2012).unwrap();
+        let pl = place(&s, 16, 16, &[]).unwrap();
+        let ch = crate::channels::assign_channels(&n, &p, &s, &cluster).unwrap();
+        let fails = |p: &Partition, ch: &Channels, node: Option<NodeId>, needle: &str| {
+            let e = schedule(&n, p, &pl, ch).unwrap_err();
+            let CompileError::BrokenArtifact {
+                pass: Pass::Schedule,
+                node: at,
+                ..
+            } = e
+            else {
+                panic!("unexpected {e}");
+            };
+            assert_eq!(at, node, "{e}");
+            assert!(e.to_string().starts_with("schedule: stage "), "{e}");
+            assert!(e.to_string().contains(needle), "{e}");
+        };
+        let mut input_assigned = p.clone();
+        input_assigned.stages[0].nodes.insert(0, 0);
+        fails(&input_assigned, &ch, Some(0), "input assigned");
+        let mut input_as_const = p.clone();
+        input_as_const.stages[0].consts.push(0);
+        input_as_const.stages[0].live_ins.clear();
+        let mut unbound = ch.clone();
+        unbound.stages[0].bindings.clear();
+        fails(&input_as_const, &unbound, Some(0), "non-constant");
+        fails(&p, &unbound, Some(0), "never receives");
+        let mut short = ch.clone();
+        short.stages.clear();
+        fails(&p, &short, None, "cover every partition stage");
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl StagedProgram {
     /// Fig. 7(d) overlap fills.
     pub fn levels(&self) -> Vec<Vec<usize>> {
         /// What the stages so far did to one value name.
-        #[derive(Default)]
+        #[derive(Clone, Copy, Default)]
         struct Seen {
             /// Level a later reader must reach: one past the last writer.
             after: usize,
@@ -180,25 +180,38 @@ impl StagedProgram {
             /// writer so far.
             floor: usize,
         }
-        let mut seen: HashMap<&str, Seen> = HashMap::new();
+        // A name is hashed once per mention, to its slot in `seen`; a
+        // name not met before starts at level 0 on both counts.
+        let mentions = |s: &StagedStage| s.inputs.len() + s.outputs.len() + 1;
+        let mut slots: HashMap<&str, usize> =
+            HashMap::with_capacity(self.stages.iter().map(mentions).sum());
+        let mut seen: Vec<Seen> = Vec::new();
+        // The current stage's reads, then its writes, as slots.
+        let mut mentioned: Vec<usize> = Vec::new();
         let mut level = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
-            let reads = || {
-                let guard = stage.guard.iter().map(|(v, _)| v.as_str());
-                stage.inputs.iter().map(|(v, _)| v.as_str()).chain(guard)
-            };
-            let writes = || stage.outputs.iter().map(|(v, _)| v.as_str());
-            let lv = reads()
-                .filter_map(|v| seen.get(v).map(|s| s.after))
-                .chain(writes().filter_map(|v| seen.get(v).map(|s| s.floor)))
+            let guard = stage.guard.iter().map(|(v, _)| v.as_str());
+            let reads = stage.inputs.iter().map(|(v, _)| v.as_str()).chain(guard);
+            let writes = stage.outputs.iter().map(|(v, _)| v.as_str());
+            mentioned.clear();
+            mentioned.extend(reads.chain(writes).map(|v| {
+                *slots.entry(v).or_insert_with(|| {
+                    seen.push(Seen::default());
+                    seen.len() - 1
+                })
+            }));
+            let (reads, writes) = mentioned.split_at(mentioned.len() - stage.outputs.len());
+            let lv = reads
+                .iter()
+                .map(|&s| seen[s].after)
+                .chain(writes.iter().map(|&s| seen[s].floor))
                 .max()
                 .unwrap_or(0);
-            for v in reads() {
-                let s = seen.entry(v).or_default();
-                s.floor = s.floor.max(lv);
+            for &s in reads {
+                seen[s].floor = seen[s].floor.max(lv);
             }
-            for v in writes() {
-                *seen.entry(v).or_default() = Seen {
+            for &s in writes {
+                seen[s] = Seen {
                     after: lv + 1,
                     floor: lv,
                 };
@@ -334,6 +347,9 @@ pub struct PipelineRunStats {
 pub struct StagedExecutor<P = StagedProgram> {
     program: P,
     procs: Vec<ProcessorId>,
+    /// The program's dependency levels (see [`StagedProgram::levels`]),
+    /// worked out once at deploy: every run walks the same wavefront.
+    levels: Vec<Vec<usize>>,
 }
 
 impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
@@ -387,12 +403,12 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                 }
             }
         }
-        Ok(StagedExecutor { program, procs })
-    }
-
-    /// The program's dependency levels (see [`StagedProgram::levels`]).
-    fn levels(&self) -> Vec<Vec<usize>> {
-        self.program().levels()
+        let levels = program.borrow().levels();
+        Ok(StagedExecutor {
+            program,
+            procs,
+            levels,
+        })
     }
 
     /// Runs the program for one input environment: a one-dataset
@@ -542,7 +558,7 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                 .collect()
         };
 
-        let levels = self.levels();
+        let levels = &self.levels;
         let depth = levels.len();
         let n = datasets.len();
         let mut stats = PipelineRunStats {
@@ -877,7 +893,7 @@ mod tests {
         let mut chip = VlsiChip::new(8, 8, Cluster::default());
         let exec = StagedExecutor::deploy(&mut chip, diamond_program()).unwrap();
         assert_eq!(
-            exec.levels(),
+            exec.levels,
             vec![vec![0, 1], vec![2]],
             "s0/s1 independent, join depends on both"
         );
@@ -898,7 +914,7 @@ mod tests {
         let mut chip = VlsiChip::new(8, 8, Cluster::default());
         let exec = StagedExecutor::deploy(&mut chip, two_stage_program()).unwrap();
         assert_eq!(
-            exec.levels(),
+            exec.levels,
             vec![vec![0], vec![1]],
             "s1 reads s0's t: strictly sequential"
         );

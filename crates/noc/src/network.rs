@@ -201,7 +201,6 @@ pub struct NocNetwork {
     injection: Vec<VecDeque<Flit>>,
     assembling: HashMap<WormId, Reassembly>,
     delivered: Vec<(Packet, u64)>,
-    latencies: HashMap<WormId, u64>,
     next_worm: u64,
     stats: NetworkStats,
     /// Fault schedule; empty and inert until a plan is attached.
@@ -253,7 +252,6 @@ impl Clone for NocNetwork {
             injection: self.injection.clone(),
             assembling: self.assembling.clone(),
             delivered: self.delivered.clone(),
-            latencies: self.latencies.clone(),
             next_worm: self.next_worm,
             stats: self.stats.clone(),
             plan: self.plan.clone(),
@@ -300,7 +298,6 @@ impl NocNetwork {
             injection: vec![VecDeque::new(); n],
             assembling: HashMap::new(),
             delivered: Vec::new(),
-            latencies: HashMap::new(),
             next_worm: 0,
             stats: NetworkStats::default(),
             plan: FaultPlan::none(),
@@ -841,7 +838,6 @@ impl NocNetwork {
             self.telemetry.record("noc.latency", latency);
             self.telemetry
                 .span_end("noc", "worm", worm.0, self.stats.cycles);
-            self.latencies.insert(worm, latency);
             self.delivered.push((
                 Packet {
                     worm,
@@ -889,9 +885,12 @@ impl NocNetwork {
         std::mem::take(&mut self.delivered)
     }
 
-    /// The delivery latency of a worm, if it has arrived.
+    /// The delivery latency of a worm that has arrived and has not been
+    /// [taken](Self::take_delivered) yet — the packet carries its latency
+    /// out with it, so a network retains nothing per worm it has served.
     pub fn worm_latency(&self, worm: WormId) -> Option<u64> {
-        self.latencies.get(&worm).copied()
+        let (_, latency) = self.delivered.iter().find(|(p, _)| p.worm == worm)?;
+        Some(*latency)
     }
 
     /// Current statistics.
@@ -1355,6 +1354,14 @@ mod tests {
         assert_eq!(net.stats().worms_delivered, 2);
         assert!(net.worm_latency(a).is_some());
         assert!(net.worm_latency(b).is_some());
+        // The latency leaves with the packet: nothing is kept per worm
+        // served, so a long-lived network does not grow with traffic.
+        let taken = net.take_delivered();
+        assert_eq!(taken.len(), 2);
+        assert!(taken.iter().all(|&(_, latency)| latency > 0));
+        assert_eq!(net.worm_latency(a), None);
+        assert_eq!(net.worm_latency(b), None);
+        assert_eq!(net.stats().worms_delivered, 2);
     }
 
     #[test]

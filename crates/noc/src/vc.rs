@@ -122,7 +122,7 @@ pub struct VcNetwork {
     injection: Vec<VecDeque<Flit>>,
     assembling: HashMap<WormId, (Vec<u64>, u64)>,
     delivered: Vec<(Packet, u64)>,
-    latencies: HashMap<WormId, u64>,
+    worms_delivered: u64,
     next_worm: u64,
     cycles: u64,
     rr: u64,
@@ -147,7 +147,7 @@ impl VcNetwork {
             injection: vec![VecDeque::new(); n],
             assembling: HashMap::new(),
             delivered: Vec::new(),
-            latencies: HashMap::new(),
+            worms_delivered: 0,
             next_worm: 0,
             cycles: 0,
             rr: 0,
@@ -283,7 +283,7 @@ impl VcNetwork {
             if flit.is_tail() {
                 let (payload, injected) = self.assembling.remove(&worm).expect("present");
                 let latency = self.cycles - injected;
-                self.latencies.insert(worm, latency);
+                self.worms_delivered += 1;
                 self.delivered.push((
                     Packet {
                         worm,
@@ -323,9 +323,10 @@ impl VcNetwork {
         std::mem::take(&mut self.delivered)
     }
 
-    /// Latency of a delivered worm.
+    /// Latency of a delivered worm not yet [taken](Self::take_delivered).
     pub fn worm_latency(&self, worm: WormId) -> Option<u64> {
-        self.latencies.get(&worm).copied()
+        let (_, latency) = self.delivered.iter().find(|(p, _)| p.worm == worm)?;
+        Some(*latency)
     }
 
     /// Cycles simulated.
@@ -337,7 +338,7 @@ impl VcNetwork {
     pub fn stats(&self) -> crate::network::NetworkStats {
         crate::network::NetworkStats {
             cycles: self.cycles,
-            worms_delivered: self.latencies.len() as u64,
+            worms_delivered: self.worms_delivered,
             flits_delivered: self.flits_delivered,
             link_crossings: self.link_crossings,
             ..Default::default()
@@ -397,11 +398,16 @@ mod tests {
                 worms.push(w);
             }
             net.run_until_drained(1_000_000).unwrap();
-            let delivered = net.take_delivered();
-            assert_eq!(delivered.len(), 12, "vcs={vcs}");
-            for w in worms {
+            for &w in &worms {
                 assert!(net.worm_latency(w).is_some());
             }
+            let delivered = net.take_delivered();
+            assert_eq!(delivered.len(), 12, "vcs={vcs}");
+            // The latencies left with the packets; the count stays.
+            for w in worms {
+                assert_eq!(net.worm_latency(w), None);
+            }
+            assert_eq!(net.stats().worms_delivered, 12);
         }
     }
 

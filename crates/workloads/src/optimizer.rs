@@ -14,8 +14,10 @@
 //! deterministic and the relative order of writes to the same sink is
 //! preserved — which keeps scalar-mode semantics identical).
 
-use std::collections::HashMap;
-use vlsi_object::{GlobalConfigStream, ObjectId};
+use vlsi_object::GlobalConfigStream;
+
+/// "No such element / entry" in the `u32` index tables below.
+const NONE: u32 = u32::MAX;
 
 /// Reorders a stream to reduce dependency (stack) distances without
 /// changing its dataflow semantics.
@@ -25,64 +27,140 @@ use vlsi_object::{GlobalConfigStream, ObjectId};
 /// * an element never moves before the definition (sink-write) of any of
 ///   its sources, when such a definition exists;
 /// * elements sharing a sink keep their relative order.
+///
+/// Object ids are resolved to *slots* once — the id itself where the ids
+/// are packed, its rank among the distinct ids where they are sparse — and
+/// everything per object or per element is then a plain vector indexed by
+/// slot or element: nothing is hashed per element, per dependency or per
+/// pick.
 pub fn optimize_stream(stream: &GlobalConfigStream) -> GlobalConfigStream {
     let elements = stream.elements();
     let n = elements.len();
     if n <= 1 {
         return stream.clone();
     }
-    // First definition index of each sink, per element: element j depends
-    // on element i (i < j) if i's sink is one of j's sources and i is the
-    // *latest* write to that sink before j; also on the previous write to
-    // j's own sink.
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut last_write: HashMap<ObjectId, usize> = HashMap::new();
-    let mut readers_since_write: HashMap<ObjectId, Vec<usize>> = HashMap::new();
-    for (j, e) in elements.iter().enumerate() {
-        // True (read-after-write) dependencies.
-        for src in e.sources() {
-            if let Some(&i) = last_write.get(&src) {
-                deps[j].push(i);
-            }
-            readers_since_write.entry(src).or_default().push(j);
-        }
-        // Output (write-after-write): same-sink order preserved.
-        if let Some(&i) = last_write.get(&e.sink) {
-            deps[j].push(i);
-        }
-        // Anti (write-after-read): readers of the old value must come
-        // before this redefinition.
-        if let Some(readers) = readers_since_write.remove(&e.sink) {
-            for i in readers {
-                if i != j {
-                    deps[j].push(i);
-                }
-            }
-        }
-        last_write.insert(e.sink, j);
+    // Elements, references (≤ 4 each) and edges (≤ 7 each) index in u32.
+    assert!(n <= (NONE / 16) as usize, "stream too long for u32 indices");
+
+    // Element j references refs[start[j]..start[j + 1]], sink first, then
+    // its sources in port order; ids become slots in place below.
+    let mut start: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut refs: Vec<u32> = Vec::with_capacity(4 * n);
+    for e in elements {
+        start.push(refs.len() as u32);
+        refs.extend(e.referenced().map(|id| id.0));
     }
-    let mut pending: Vec<usize> = deps.iter().map(|d| d.len()).collect();
-    let mut dependants: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (j, d) in deps.iter().enumerate() {
-        for &i in d {
-            dependants[i].push(j);
+    start.push(refs.len() as u32);
+    // Slots: an id range no wider than a few slots per reference indexes
+    // the tables directly (the compiler numbers its objects 0, 1, 2, …);
+    // anything sparser is ranked among the sorted distinct ids first.
+    let widest = refs.iter().max().map_or(0, |&m| m as usize + 1);
+    let slots = if widest <= 4 * refs.len() {
+        widest
+    } else {
+        let mut ids = refs.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        for r in refs.iter_mut() {
+            *r = ids.binary_search(r).expect("every reference was collected") as u32;
         }
+        ids.len()
+    };
+    let refs_of = |j: usize| &refs[start[j] as usize..start[j + 1] as usize];
+
+    // Dependency edges (i, j), i < j, generated in ascending j: j reads the
+    // sink the *latest* earlier write i defined (true), rewrites i's sink
+    // (output), or redefines an object i read since its last write (anti).
+    // A repeated source repeats its edge; `pending` counts with the same
+    // multiplicity, so only the count matters.
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(refs.len());
+    let mut last_write = vec![NONE; slots];
+    // Readers of each slot since its last write: a chain of
+    // `(reader, next entry)`, one entry per source reference.
+    let mut reader_head = vec![NONE; slots];
+    let mut readers: Vec<(u32, u32)> = Vec::with_capacity(refs.len());
+    for j in 0..n as u32 {
+        let (sink, sources) = refs_of(j as usize)
+            .split_first()
+            .expect("every element references its sink");
+        let sink = *sink as usize;
+        for &src in sources {
+            let src = src as usize;
+            if last_write[src] != NONE {
+                edges.push((last_write[src], j));
+            }
+            readers.push((j, reader_head[src]));
+            reader_head[src] = readers.len() as u32 - 1;
+        }
+        if last_write[sink] != NONE {
+            edges.push((last_write[sink], j));
+        }
+        let mut r = std::mem::replace(&mut reader_head[sink], NONE);
+        while r != NONE {
+            let (i, next) = readers[r as usize];
+            if i != j {
+                edges.push((i, j));
+            }
+            r = next;
+        }
+        last_write[sink] = j;
     }
-    // Greedy emission.
-    let mut ready: Vec<usize> = (0..n).filter(|&j| pending[j] == 0).collect();
+
+    // CSR of dependants: edges bucketed by producer, ascending consumer
+    // within a bucket (the counting sort is stable and edges came in
+    // ascending j) — the order the ready list is fed in.
+    let mut pending = vec![0u32; n];
+    let mut first = vec![0u32; n + 1];
+    for &(i, j) in &edges {
+        pending[j as usize] += 1;
+        first[i as usize + 1] += 1;
+    }
+    for i in 0..n {
+        first[i + 1] += first[i];
+    }
+    let mut fill = first.clone();
+    let mut dependants = vec![0u32; edges.len()];
+    for &(i, j) in &edges {
+        dependants[fill[i as usize] as usize] = j;
+        fill[i as usize] += 1;
+    }
+
+    // Greedy emission: among the ready elements, the one touching the
+    // most recently used object. Strictly greater wins, so ties keep the
+    // element that has been ready longest (the ready list is in insertion
+    // order, which is original position for the initial set).
+    let mut ready: Vec<u32> = (0..n as u32)
+        .filter(|&j| pending[j as usize] == 0)
+        .collect();
     let mut out = Vec::with_capacity(n);
-    let mut recency: HashMap<ObjectId, usize> = HashMap::new();
-    let mut clock = 0usize;
-    while let Some(pos) = pick(&ready, elements, &recency) {
-        let j = ready.remove(pos);
-        out.push(elements[j]);
-        for id in elements[j].referenced() {
-            clock += 1;
-            recency.insert(id, clock);
+    let mut recency = vec![0u32; slots];
+    let mut clock = 0u32;
+    while !ready.is_empty() {
+        let score = |j: u32| {
+            refs_of(j as usize)
+                .iter()
+                .map(|&s| recency[s as usize])
+                .max()
+                .unwrap_or(0)
+        };
+        let mut best = 0;
+        let mut best_score = score(ready[0]);
+        for (p, &j) in ready.iter().enumerate().skip(1) {
+            let s = score(j);
+            if s > best_score {
+                best = p;
+                best_score = s;
+            }
         }
-        for &k in &dependants[j] {
-            pending[k] -= 1;
-            if pending[k] == 0 {
+        let j = ready.remove(best) as usize;
+        out.push(elements[j]);
+        for &s in refs_of(j) {
+            clock += 1;
+            recency[s as usize] = clock;
+        }
+        for &k in &dependants[first[j] as usize..first[j + 1] as usize] {
+            pending[k as usize] -= 1;
+            if pending[k as usize] == 0 {
                 ready.push(k);
             }
         }
@@ -91,42 +169,11 @@ pub fn optimize_stream(stream: &GlobalConfigStream) -> GlobalConfigStream {
     GlobalConfigStream::from_elements(out)
 }
 
-/// Picks the ready element touching the most recently used objects.
-fn pick(
-    ready: &[usize],
-    elements: &[vlsi_object::GlobalConfigElement],
-    recency: &HashMap<ObjectId, usize>,
-) -> Option<usize> {
-    if ready.is_empty() {
-        return None;
-    }
-    let score = |j: usize| -> usize {
-        elements[j]
-            .referenced()
-            .filter_map(|id| recency.get(&id).copied())
-            .max()
-            .unwrap_or(0)
-    };
-    let mut best = 0;
-    let mut best_score = score(ready[0]);
-    for (p, &j) in ready.iter().enumerate().skip(1) {
-        let s = score(j);
-        // Strictly greater wins; ties keep the earliest original index
-        // (ready is maintained in insertion order, which follows original
-        // positions for the initial set).
-        if s > best_score {
-            best = p;
-            best_score = s;
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::randpath::RandomDatapath;
-    use vlsi_object::GlobalConfigElement;
+    use vlsi_object::{GlobalConfigElement, ObjectId};
 
     fn id(v: u32) -> ObjectId {
         ObjectId(v)

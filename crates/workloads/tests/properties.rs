@@ -3,7 +3,123 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use vlsi_object::{GlobalConfigElement, GlobalConfigStream, ObjectId};
+use vlsi_prng::Prng;
 use vlsi_workloads::{assemble, disassemble, optimize_stream, RandomDatapath};
+
+/// The optimizer as it stood before the slot tables — dependencies,
+/// readers and recency in `HashMap`s keyed by `ObjectId`, every ready
+/// element re-scored through the map on every pick. Kept verbatim as the
+/// oracle for `slot_tables_match_the_hashmap_reference`.
+fn reference_optimize_stream(stream: &GlobalConfigStream) -> GlobalConfigStream {
+    fn pick(
+        ready: &[usize],
+        elements: &[GlobalConfigElement],
+        recency: &HashMap<ObjectId, usize>,
+    ) -> Option<usize> {
+        if ready.is_empty() {
+            return None;
+        }
+        let score = |j: usize| -> usize {
+            elements[j]
+                .referenced()
+                .filter_map(|id| recency.get(&id).copied())
+                .max()
+                .unwrap_or(0)
+        };
+        let mut best = 0;
+        let mut best_score = score(ready[0]);
+        for (p, &j) in ready.iter().enumerate().skip(1) {
+            let s = score(j);
+            if s > best_score {
+                best = p;
+                best_score = s;
+            }
+        }
+        Some(best)
+    }
+    let elements = stream.elements();
+    let n = elements.len();
+    if n <= 1 {
+        return stream.clone();
+    }
+    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut last_write: HashMap<ObjectId, usize> = HashMap::new();
+    let mut readers_since_write: HashMap<ObjectId, Vec<usize>> = HashMap::new();
+    for (j, e) in elements.iter().enumerate() {
+        for src in e.sources() {
+            if let Some(&i) = last_write.get(&src) {
+                deps[j].push(i);
+            }
+            readers_since_write.entry(src).or_default().push(j);
+        }
+        if let Some(&i) = last_write.get(&e.sink) {
+            deps[j].push(i);
+        }
+        if let Some(readers) = readers_since_write.remove(&e.sink) {
+            for i in readers {
+                if i != j {
+                    deps[j].push(i);
+                }
+            }
+        }
+        last_write.insert(e.sink, j);
+    }
+    let mut pending: Vec<usize> = deps.iter().map(|d| d.len()).collect();
+    let mut dependants: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (j, d) in deps.iter().enumerate() {
+        for &i in d {
+            dependants[i].push(j);
+        }
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&j| pending[j] == 0).collect();
+    let mut out = Vec::with_capacity(n);
+    let mut recency: HashMap<ObjectId, usize> = HashMap::new();
+    let mut clock = 0usize;
+    while let Some(pos) = pick(&ready, elements, &recency) {
+        let j = ready.remove(pos);
+        out.push(elements[j]);
+        for id in elements[j].referenced() {
+            clock += 1;
+            recency.insert(id, clock);
+        }
+        for &k in &dependants[j] {
+            pending[k] -= 1;
+            if pending[k] == 0 {
+                ready.push(k);
+            }
+        }
+    }
+    assert_eq!(out.len(), n);
+    GlobalConfigStream::from_elements(out)
+}
+
+/// A `RandomDatapath` stream dressed up with everything an element can
+/// carry: second sources (one time in three the *same* source again),
+/// predicate sources, and ids spread by `id(k)`. Sinks repeat, so
+/// redefinitions — and elements reading their own sink — come for free.
+fn dressed_stream(gen: &RandomDatapath, id: impl Fn(u32) -> ObjectId) -> GlobalConfigStream {
+    let mut rng = Prng::seed_from_u64(gen.seed ^ 0x0d7e_55ed);
+    gen.stream()
+        .elements()
+        .iter()
+        .map(|e| {
+            let lhs = e.src_lhs.expect("RandomDatapath emits unary elements").0;
+            let mut any = || rng.gen_range(0..gen.n_objects);
+            let rhs = match any() % 3 {
+                0 => None,
+                1 => Some(lhs),
+                _ => Some(any()),
+            };
+            let pred = (any() % 4 == 0).then(&mut any);
+            GlobalConfigElement {
+                sink: id(e.sink.0),
+                src_lhs: Some(id(lhs)),
+                src_rhs: rhs.map(&id),
+                src_pred: pred.map(&id),
+            }
+        })
+        .collect()
+}
 
 /// Reference semantics of a stream under scalar evaluation, abstracted to
 /// "which write does each read observe": replay the stream, recording for
@@ -58,6 +174,36 @@ proptest! {
         ca.sort();
         cb.sort();
         prop_assert_eq!(ca, cb);
+    }
+
+    /// The slot-table optimizer emits the stream the `HashMap` optimizer
+    /// emitted, element for element — same dependencies, same ready-list
+    /// order, same strict-greater tie rule — at every locality, with
+    /// redefinitions, predicate sources and repeated sources, whether the
+    /// ids are the dense `0..n` or sparse.
+    #[test]
+    fn slot_tables_match_the_hashmap_reference(
+        seed: u64,
+        n_objects in 2u32..24,
+        n_elements in 0usize..90,
+        locality_pct in 0u32..=100,
+    ) {
+        let gen = RandomDatapath {
+            n_objects,
+            n_elements,
+            locality: f64::from(locality_pct) / 100.0,
+            seed,
+        };
+        let spreads: [fn(u32) -> ObjectId; 3] = [
+            ObjectId,
+            |k| ObjectId(1000 + k),
+            |k| ObjectId(1000 + 97 * k),
+        ];
+        for id in spreads {
+            let stream = dressed_stream(&gen, id);
+            let got = optimize_stream(&stream);
+            prop_assert_eq!(got.elements(), reference_optimize_stream(&stream).elements());
+        }
     }
 
     /// Optimization is idempotent in effect: a second pass never makes
