@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vlsi_ap::{AdaptiveProcessor, ApError, ConfigureOutcome, ExecutionReport, SoaLane};
-use vlsi_noc::NocNetwork;
+use vlsi_noc::{NocNetwork, WormId};
 use vlsi_object::{GlobalConfigStream, LogicalObject, ObjectId, Word};
 use vlsi_par::Pool;
 use vlsi_telemetry::TelemetryHandle;
@@ -454,21 +454,23 @@ impl VlsiChip {
 
         let config_latency = match self.strategy {
             ConfigStrategy::UnicastWorms => {
-                // One worm per cluster, all in flight together.
-                let mut worms = Vec::with_capacity(programs.len());
+                // One worm per cluster, all in flight together. Nothing
+                // else injects between these calls, so the gather's worm
+                // ids are one contiguous range.
+                let mut ours: Option<(WormId, WormId)> = None;
                 for &(c, word) in &programs {
                     let worm = self
                         .noc
                         .inject(self.supervisor, c, vec![word])
                         .map_err(CoreError::Noc)?;
-                    worms.push(worm);
+                    ours = Some((ours.map_or(worm, |(first, _)| first), worm));
                 }
                 self.noc
                     .run_until_drained(1_000_000)
                     .map_err(CoreError::Noc)?;
                 let mut config_latency = 0;
                 for (packet, latency) in self.noc.take_delivered() {
-                    if !worms.contains(&packet.worm) {
+                    if !ours.is_some_and(|(first, last)| (first..=last).contains(&packet.worm)) {
                         continue; // not ours (concurrent traffic)
                     }
                     config_latency = config_latency.max(latency);
@@ -634,6 +636,41 @@ impl VlsiChip {
                     vlsi_topology::TopologyError::NoLinearPath,
                 ))?;
         self.gather(region)
+    }
+
+    /// The regions one [`gather_any`](Self::gather_any) per entry of
+    /// `sizes`, in order, would take on this chip — or `None` when that
+    /// sequence would fail somewhere. A read-only probe on the occupancy
+    /// index: the first request is answered by the shared free-space
+    /// snapshot, each later one by a sweep of that free set minus the
+    /// cells already planned, which is the occupancy the earlier gathers
+    /// would leave behind. Nothing is programmed, so refusing a
+    /// multi-region request costs no worm.
+    pub fn plan_gathers(&self, sizes: &[usize]) -> Option<Vec<Region>> {
+        if sizes.iter().sum::<usize>() > self.free_clusters() {
+            return None;
+        }
+        let width = usize::from(self.grid.width());
+        let slot = |c: Coord| usize::from(c.y) * width + usize::from(c.x);
+        // Cells of the regions planned so far, as a mask over the die.
+        let mut taken: Vec<bool> = Vec::new();
+        let mut planned: Vec<Region> = Vec::with_capacity(sizes.len());
+        for (i, &clusters) in sizes.iter().enumerate() {
+            let region = if i == 0 {
+                self.with_free_space(|free| free.find(clusters))?
+            } else {
+                let free = |c| self.index.is_free(c) && !taken[slot(c)];
+                RegionFinder::new(&self.grid, free).find(clusters)?
+            };
+            if i + 1 < sizes.len() {
+                taken.resize(self.total_clusters(), false);
+                for c in region.cells() {
+                    taken[slot(c)] = true;
+                }
+            }
+            planned.push(region);
+        }
+        Some(planned)
     }
 
     /// Free-space fragmentation in `[0, 1]` (0 = one request can take all
@@ -1973,6 +2010,84 @@ mod tests {
                 proptest::prop_assert_eq!(chip.free_clusters(), fresh.free_total());
             }
         }
+
+        /// On the occupancies the same histories leave behind, the plan
+        /// for any list of sizes is the list of regions sequential
+        /// `gather_any` calls then take on that chip, and is `None`
+        /// exactly when that sequence fails.
+        #[test]
+        fn plan_matches_sequential_gather_any(
+            side in 8u16..=16,
+            ops in placement_ops(),
+            sizes in proptest::prop::collection::vec(0usize..40, 1..6),
+        ) {
+            let mut chip = VlsiChip::new(side, side, Cluster::default());
+            let mut live = Vec::new();
+            for op in ops {
+                placement_step(&mut chip, &mut live, op, VlsiChip::relocate, VlsiChip::compact);
+            }
+            let plan = chip.plan_gathers(&sizes);
+            let taken: Result<Vec<Region>, CoreError> = sizes
+                .iter()
+                .map(|&n| {
+                    let id = chip.gather_any(n)?.id;
+                    Ok(chip.processor(id)?.region.clone())
+                })
+                .collect();
+            proptest::prop_assert_eq!(plan, taken.ok(), "sizes {:?}", sizes);
+        }
+    }
+
+    #[test]
+    fn a_refused_deploy_leaves_no_trace() {
+        use crate::staged::{StagedExecutor, StagedProgram, StagedStage};
+        let stage = |clusters| StagedStage {
+            name: format!("s{clusters}"),
+            clusters,
+            objects: Vec::new(),
+            stream: Arc::new(GlobalConfigStream::default()),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            guard: None,
+        };
+        let program = |sizes: &[usize]| StagedProgram {
+            name: "refused".into(),
+            stages: sizes.iter().map(|&n| stage(n)).collect(),
+            outputs: Vec::new(),
+        };
+        let mut c = chip();
+        c.gather(Region::rect(Coord::new(3, 0), 2, 8)).unwrap();
+        let trace = |c: &VlsiChip| {
+            (
+                c.noc.stats().clone(),
+                c.fabric.store_count(),
+                c.index.generation(),
+                c.next_id,
+                c.free_clusters(),
+            )
+        };
+        let before = trace(&c);
+        // More clusters than are free; a last stage left only scraps;
+        // first stages that fit followed by one the pinned column leaves
+        // no room for; nothing at all.
+        for sizes in [&[40, 9][..], &[24, 20, 4], &[4, 4, 24], &[0]] {
+            let err = StagedExecutor::deploy(&mut c, program(sizes)).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::Topology(vlsi_topology::TopologyError::NoLinearPath),
+                "{sizes:?}: the error gather_any gives"
+            );
+            assert_eq!(trace(&c), before, "{sizes:?}");
+        }
+        // The same die takes a program that fits, on the planned regions.
+        let plan = c.plan_gathers(&[24, 20]).unwrap();
+        let exec = StagedExecutor::deploy(&mut c, program(&[24, 20])).unwrap();
+        let regions: Vec<Region> = exec
+            .processors()
+            .iter()
+            .map(|&id| c.processor(id).unwrap().region.clone())
+            .collect();
+        assert_eq!(regions, plan);
     }
 
     #[test]

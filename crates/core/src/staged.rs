@@ -32,7 +32,7 @@ use std::sync::Arc;
 use vlsi_object::{
     GlobalConfigElement, GlobalConfigStream, LocalConfig, LogicalObject, ObjectId, Operation, Word,
 };
-use vlsi_topology::Region;
+use vlsi_topology::{Region, TopologyError};
 use vlsi_workloads::program::{BasicBlock, BlockDatapath, Terminator};
 
 /// One stage: a partition of the program, lowered to objects + stream,
@@ -353,13 +353,18 @@ pub struct StagedExecutor<P = StagedProgram> {
 }
 
 impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
-    /// Deploys `program` wherever the allocator finds free clusters
-    /// (one `gather_any` per stage). On failure, every processor
-    /// gathered so far is released — the chip is left as found.
+    /// Deploys `program` wherever the allocator finds free clusters:
+    /// plans the regions one `gather_any` per stage would take
+    /// ([`VlsiChip::plan_gathers`], read-only) and commits them only when
+    /// every stage fits. A program that does not fit is refused with the
+    /// error `gather_any` gives, before any worm is injected — the chip
+    /// is untouched.
     pub fn deploy(chip: &mut VlsiChip, program: P) -> Result<StagedExecutor<P>, CoreError> {
-        Self::deploy_with(chip, program, |chip, stage, _| {
-            chip.gather_any(stage.clusters).map(|o| o.id)
-        })
+        let sizes: Vec<usize> = program.borrow().stages.iter().map(|s| s.clusters).collect();
+        let regions = chip
+            .plan_gathers(&sizes)
+            .ok_or(CoreError::Topology(TopologyError::NoLinearPath))?;
+        Self::commit(chip, program, regions)
     }
 
     /// Deploys `program` onto the exact `regions` the placement pass
@@ -378,29 +383,31 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                 regions: regions.len(),
             });
         }
-        Self::deploy_with(chip, program, |chip, _, i| {
-            chip.gather(regions[i].clone()).map(|o| o.id)
-        })
+        Self::commit(chip, program, regions.iter().cloned())
     }
 
-    fn deploy_with(
+    /// Gathers one region per stage and installs the stage's objects on
+    /// it. On failure, every processor gathered so far is released — the
+    /// chip's occupancy is left as found.
+    fn commit(
         chip: &mut VlsiChip,
         program: P,
-        mut gather: impl FnMut(&mut VlsiChip, &StagedStage, usize) -> Result<ProcessorId, CoreError>,
+        regions: impl IntoIterator<Item = Region>,
     ) -> Result<StagedExecutor<P>, CoreError> {
         let stages = &program.borrow().stages;
         let mut procs = Vec::with_capacity(stages.len());
-        for (i, stage) in stages.iter().enumerate() {
-            let step = gather(chip, stage, i)
-                .and_then(|id| chip.install(id, stage.objects.clone()).map(|_| id));
-            match step {
-                Ok(id) => procs.push(id),
-                Err(e) => {
-                    for id in procs {
-                        let _ = chip.release_processor(id);
-                    }
-                    return Err(e);
+        for (stage, region) in stages.iter().zip(regions) {
+            // Recorded before `install`, so a refused install releases
+            // its own region with the rest.
+            let step = chip.gather(region).and_then(|gathered| {
+                procs.push(gathered.id);
+                chip.install(gathered.id, stage.objects.clone())
+            });
+            if let Err(e) = step {
+                for id in procs {
+                    let _ = chip.release_processor(id);
                 }
+                return Err(e);
             }
         }
         let levels = program.borrow().levels();
@@ -944,13 +951,28 @@ mod tests {
     }
 
     #[test]
-    fn failed_deploy_releases_partial_gathers() {
-        // A 2×2 die cannot hold two 4-cluster stages: the second gather
-        // fails, and the first must be rolled back.
-        let mut chip = VlsiChip::new(2, 2, Cluster::default());
-        let err = StagedExecutor::deploy(&mut chip, two_stage_program());
-        assert!(err.is_err());
-        assert_eq!(chip.free_clusters(), 4);
+    fn a_failed_commit_releases_every_gathered_region() {
+        // The plan fits, but stage 1 asks its one-cluster AP (four memory
+        // objects) to bind five: `install` refuses after both regions
+        // were gathered, and both must be free again.
+        let mut program = two_stage_program();
+        let stage = &mut program.stages[1];
+        stage.clusters = 1;
+        stage.objects = (0..5)
+            .map(|i| LogicalObject::memory(ObjectId(i), LocalConfig::op(Operation::Load)))
+            .collect();
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let err = StagedExecutor::deploy(&mut chip, program).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Ap(vlsi_ap::ApError::WorkingSetExceedsCapacity { capacity: 4, .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(chip.metrics().noc_worms_delivered, 5, "both were gathered");
+        assert_eq!(chip.processors().count(), 0);
+        assert_eq!(chip.free_clusters(), 64);
     }
 
     /// Deterministic dataset batch for the equivalence tests.

@@ -120,7 +120,7 @@ struct BoundaryCrossing {
     flit: Flit,
 }
 
-/// Per-shard tick state: the shard's active/woken router lists plus
+/// Per-shard tick state: the shard's loaded/woken router lists plus
 /// everything phase 1 defers to the serial commit sections (deliveries,
 /// boundary crossings, head hops) and shard-local tallies the owner
 /// absorbs in shard order. Reused every cycle, so the steady parallel
@@ -128,10 +128,14 @@ struct BoundaryCrossing {
 #[derive(Debug, Default)]
 struct ShardScratch {
     /// Loaded routers of this shard at cycle start (absolute indices,
-    /// ascending).
+    /// ascending). Phase 3 leaves the next cycle's list here, so phase 1
+    /// rescans `load` only when [`NocNetwork::carried_shards`] says the
+    /// list cannot be trusted.
     active: Vec<u32>,
     /// Routers phase 1 woke (absolute indices; sorted before phase 3).
     woken: Vec<u32>,
+    /// Phase 3's visit list under construction; swapped into `active`.
+    merged: Vec<u32>,
     /// Local-port deliveries, deferred to the serial delivery commit.
     deliveries: Vec<(Coord, Flit)>,
     /// Cross-shard crossings, deferred to the serial boundary commit.
@@ -158,6 +162,9 @@ struct TickEnv<'a> {
     now: u64,
     ft: bool,
     plan: &'a FaultPlan,
+    /// Whether phase 1 must rebuild the loaded-router lists from `load`
+    /// instead of trusting the ones the previous cycle carried over.
+    rescan: bool,
 }
 
 impl TickEnv<'_> {
@@ -239,6 +246,12 @@ pub struct NocNetwork {
     par_min_resident: usize,
     /// Per-shard tick scratch, grown lazily to the shard count in use.
     shard_scratch: Vec<ShardScratch>,
+    /// The shard count whose scratch `active` lists hold exactly the
+    /// loaded routers, or 0 when they cannot be trusted: anything that
+    /// touches `load` outside [`Self::move_flits`] ([`Self::inject`],
+    /// [`Self::retransmit`], [`Self::purge_and_backoff`]) zeroes it, and
+    /// a tick at any other shard count rescans.
+    carried_shards: usize,
     /// Observability sink; the default handle is a no-op.
     telemetry: TelemetryHandle,
 }
@@ -269,6 +282,7 @@ impl Clone for NocNetwork {
             // drained by absorption, so sharing them between clones
             // would cross-talk; scratch content is transient anyway.
             shard_scratch: Vec::new(),
+            carried_shards: 0,
             telemetry: self.telemetry.clone(),
         }
     }
@@ -312,6 +326,7 @@ impl NocNetwork {
             pool: Pool::serial(),
             par_min_resident: 0,
             shard_scratch: Vec::new(),
+            carried_shards: 0,
             telemetry,
         }
     }
@@ -453,6 +468,7 @@ impl NocNetwork {
             self.queued += 1;
             self.load[si] += 1;
         }
+        self.carried_shards = 0;
         self.telemetry
             .span_begin("noc", "worm", worm.0, self.stats.cycles);
         Ok(worm)
@@ -523,7 +539,10 @@ impl NocNetwork {
     /// makes parallel runs bit-identical to serial ones:
     ///
     /// 1. **Phase 1** (parallel): each shard walks its loaded routers in
-    ///    ascending order. Own-shard crossings commit immediately;
+    ///    ascending order — the list the previous cycle's phase 3 carried
+    ///    over, so a cycle costs its flits and not the die; `load` is
+    ///    rescanned only after something outside this function touched it
+    ///    or the shard count changed. Own-shard crossings commit immediately;
     ///    cross-shard crossings and local deliveries are deferred. Every
     ///    accept decision depends only on cycle-start queue state (pops
     ///    happen in phase 3, and each input queue has exactly one
@@ -546,6 +565,9 @@ impl NocNetwork {
             self.shard_scratch
                 .resize_with(shards, ShardScratch::default);
         }
+        // The lists phase 3 left behind are this cycle's loaded routers
+        // unless `load` was touched since, or the stripes moved.
+        let rescan = std::mem::replace(&mut self.carried_shards, shards) != shards;
         if self.telemetry.is_enabled() {
             if shards == 1 {
                 // One shard runs the exact serial schedule, so record
@@ -578,6 +600,7 @@ impl NocNetwork {
                 now,
                 ft: self.ft,
                 plan: &self.plan,
+                rescan,
             },
             shard_phase1,
         );
@@ -684,6 +707,7 @@ impl NocNetwork {
                 now,
                 ft: self.ft,
                 plan: &self.plan,
+                rescan,
             },
             shard_phase23,
         );
@@ -704,6 +728,7 @@ impl NocNetwork {
     /// either schedules a retransmission after an exponential backoff or
     /// declares the worm undeliverable.
     fn purge_and_backoff(&mut self, worm: WormId) {
+        self.carried_shards = 0;
         for ri in 0..self.routers.len() {
             for in_port in Port::ALL {
                 // A binding belongs to `worm` iff its output is held by it.
@@ -785,6 +810,7 @@ impl NocNetwork {
         self.telemetry
             .instant("noc", "retransmit", worm.0, self.stats.cycles);
         let si = self.idx(src).expect("pending worm has an on-grid source");
+        self.carried_shards = 0;
         for f in (Packet {
             worm,
             dest,
@@ -969,6 +995,13 @@ fn run_sharded(
     });
 }
 
+/// The routers of a shard starting at absolute index `base` that hold a
+/// flit, ascending — the scan the carried lists stand in for.
+fn loaded_routers(load: &[u32], base: usize) -> impl Iterator<Item = u32> + '_ {
+    let loaded = (0..load.len()).filter(|&i| load[i] > 0);
+    loaded.map(move |i| (base + i) as u32)
+}
+
 /// Phase 1 over one shard: link traversal of the shard's loaded routers,
 /// in ascending index order. Own-shard crossings commit in place;
 /// deliveries and cross-shard crossings are deferred to the serial commit
@@ -987,14 +1020,19 @@ fn shard_phase1(v: &mut ShardView<'_>, env: &TickEnv<'_>) {
         lost,
         queued_drained: _,
         telemetry,
+        merged: _,
     } = &mut *v.scratch;
-    active.clear();
     woken.clear();
-    active.extend(
-        (0..v.routers.len())
-            .filter(|&i| v.load[i] > 0)
-            .map(|i| (base + i) as u32),
-    );
+    if env.rescan {
+        active.clear();
+        active.extend(loaded_routers(v.load, base));
+    } else {
+        debug_assert_eq!(
+            *active,
+            loaded_routers(v.load, base).collect::<Vec<u32>>(),
+            "carried router list must mirror the load scan"
+        );
+    }
     for &ri32 in active.iter() {
         let ri = ri32 as usize;
         let li = ri - base;
@@ -1102,44 +1140,48 @@ fn shard_phase1(v: &mut ShardView<'_>, env: &TickEnv<'_>) {
 /// per input port). Both touch only that router's own queues and
 /// registers, so the per-router fusion is observably identical to the
 /// all-phase-2-then-all-phase-3 serial order. The visit list is the
-/// cycle-start snapshot merged (ascending) with the routers phase 1 woke
-/// — a woken router had zero load, so it is never also in the snapshot.
+/// cycle-start snapshot merged (ascending) with the routers phase 1 woke.
+/// A router can be in both — it drained in phase 1 and a later neighbour
+/// refilled it — so equal heads advance both cursors and it is visited
+/// once. Loads do not change in these phases, so the routers visited
+/// holding a flit are exactly the next cycle's loaded routers: they are
+/// left in `active` for its phase 1.
 fn shard_phase23(v: &mut ShardView<'_>, env: &TickEnv<'_>) {
     let base = v.base;
     let ShardScratch {
         active,
         woken,
+        merged,
         queued_drained,
         telemetry,
         ..
     } = &mut *v.scratch;
     woken.sort_unstable();
+    merged.clear();
     let mut wi = 0;
     let mut ai = 0;
     loop {
         let ri = match (active.get(ai), woken.get(wi)) {
-            (Some(&a), Some(&w)) if a < w => {
-                ai += 1;
-                a as usize
-            }
-            (Some(_), Some(&w)) => {
-                wi += 1;
-                w as usize
+            (Some(&a), Some(&w)) => {
+                ai += usize::from(a <= w);
+                wi += usize::from(w <= a);
+                a.min(w)
             }
             (Some(&a), None) => {
                 ai += 1;
-                a as usize
+                a
             }
             (None, Some(&w)) => {
                 wi += 1;
-                w as usize
+                w
             }
             (None, None) => break,
         };
-        let li = ri - base;
+        let li = ri as usize - base;
         if v.load[li] == 0 {
             continue;
         }
+        merged.push(ri);
         // Phase 2: feed this router's source queue into its local input
         // port. Safe to skip via the load check above — a zero-load
         // router's source queue is empty (load counts queued flits), and
@@ -1165,6 +1207,7 @@ fn shard_phase23(v: &mut ShardView<'_>, env: &TickEnv<'_>) {
             }
         }
     }
+    std::mem::swap(active, merged);
 }
 
 /// Allocation with adaptive head steering: heads detour around
@@ -1626,6 +1669,73 @@ mod tests {
             assert_eq!(parallel.2, serial.2, "{threads}-thread stats");
             assert_eq!(parallel.3, serial.3, "{threads}-thread telemetry");
             assert_eq!(parallel, serial, "{threads}-thread full state");
+        }
+    }
+
+    #[test]
+    fn a_router_drained_and_rewoken_in_one_cycle_is_visited_once() {
+        // A worm streaming west: routers are walked in ascending order,
+        // so router k hands its only flit to k-1 (load 0) and is refilled
+        // by k+1 later in the same phase 1 — loaded at cycle start *and*
+        // woken.
+        let mut net = NocNetwork::new(6, 1);
+        net.inject(Coord::new(5, 0), Coord::new(0, 0), (0..12).collect())
+            .unwrap();
+        let mut rewoken = 0;
+        while !net.is_idle() {
+            let loaded_before: Vec<u32> = loaded_routers(&net.load, 0).collect();
+            net.tick();
+            let sc = &net.shard_scratch[0];
+            rewoken += sc
+                .woken
+                .iter()
+                .filter(|r| loaded_before.contains(r))
+                .count();
+            // One visit each: the carried list is the load scan, strictly
+            // ascending, so a router in both lists was merged to one entry.
+            assert!(sc.active.windows(2).all(|w| w[0] < w[1]), "{sc:?}");
+            assert_eq!(sc.active, loaded_routers(&net.load, 0).collect::<Vec<_>>());
+            assert!(net.stats.cycles < 1_000);
+        }
+        assert!(rewoken > 0, "the stream must drain and refill a router");
+        assert_eq!(
+            net.take_delivered()[0].0.payload,
+            (0..12).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn carried_router_lists_survive_everything_that_touches_loads() {
+        use vlsi_par::Pool;
+        // Injections between ticks, a fan-out threshold that flips the
+        // shard count as the mesh drains, a clone mid-flight: phase 1's
+        // debug mirror checks the carried lists against the scan on every
+        // cycle, and the results must match a serial run's.
+        let run = |threads: usize| {
+            let mut net = NocNetwork::new(8, 8);
+            if threads > 1 {
+                net.set_parallel(Pool::new(threads), 12);
+            }
+            for round in 0..6u16 {
+                for k in 0..8u16 {
+                    let src = Coord::new((k + round) % 8, k);
+                    net.inject(src, Coord::new(7 - k, (k + 3) % 8), vec![1, 2, 3])
+                        .unwrap();
+                }
+                for _ in 0..3 {
+                    net.tick();
+                }
+                if round == 3 {
+                    net = net.clone();
+                }
+            }
+            net.run_until_drained(10_000).unwrap();
+            (net.take_delivered(), net.stats().clone())
+        };
+        let serial = run(1);
+        assert_eq!(serial.0.len(), 48);
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), serial, "{threads} threads");
         }
     }
 }

@@ -39,7 +39,7 @@ pub enum RuntimeError {
         /// The job.
         job: JobId,
         /// What went wrong.
-        detail: String,
+        detail: WorkloadDetail,
         /// The chip-layer error behind it, when there is one (also
         /// [`std::error::Error::source`]).
         source: Option<CoreError>,
@@ -55,6 +55,40 @@ pub enum RuntimeError {
     },
     /// A chip-layer operation failed unrecoverably.
     Core(CoreError),
+}
+
+/// What a [`RuntimeError::Workload`] reports.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum WorkloadDetail {
+    /// A staged job ran, and one dataset's outputs differ from the
+    /// reference the front end handed down.
+    StagedMismatch {
+        /// Index of the dataset in the job's batch.
+        dataset: usize,
+        /// What the chip computed.
+        got: Vec<i64>,
+        /// What the reference says.
+        expected: Vec<i64>,
+    },
+    /// Anything else, as text (a bad request, or the chip-layer cause's
+    /// message).
+    Text(String),
+}
+
+impl fmt::Display for WorkloadDetail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkloadDetail::StagedMismatch {
+                dataset,
+                got,
+                expected,
+            } => write!(
+                f,
+                "staged dataset {dataset}: output {got:?}, reference says {expected:?}"
+            ),
+            WorkloadDetail::Text(text) => f.write_str(text),
+        }
+    }
 }
 
 impl fmt::Display for RuntimeError {
@@ -113,7 +147,26 @@ impl RuntimeError {
     pub(crate) fn workload(job: JobId, detail: String) -> RuntimeError {
         RuntimeError::Workload {
             job,
-            detail,
+            detail: WorkloadDetail::Text(detail),
+            source: None,
+        }
+    }
+
+    /// Dataset `dataset` of staged job `job` came out as `got` where the
+    /// reference says `expected`.
+    pub(crate) fn staged_mismatch(
+        job: JobId,
+        dataset: usize,
+        got: &[i64],
+        expected: &[i64],
+    ) -> RuntimeError {
+        RuntimeError::Workload {
+            job,
+            detail: WorkloadDetail::StagedMismatch {
+                dataset,
+                got: got.to_vec(),
+                expected: expected.to_vec(),
+            },
             source: None,
         }
     }
@@ -123,7 +176,7 @@ impl RuntimeError {
     pub(crate) fn workload_from(job: JobId, cause: CoreError) -> RuntimeError {
         RuntimeError::Workload {
             job,
-            detail: cause.to_string(),
+            detail: WorkloadDetail::Text(cause.to_string()),
             source: Some(cause),
         }
     }
@@ -162,6 +215,23 @@ mod tests {
         let plain = RuntimeError::workload(JobId(3), "output mismatch".into());
         assert!(plain.source().is_none());
         assert_eq!(plain.reason(), "workload");
+        // A failed reference check carries its numbers typed, under the
+        // same variant, label and text as when it was a formatted string.
+        let wrong = RuntimeError::staged_mismatch(JobId(3), 2, &[6, -1], &[999, -1]);
+        assert_eq!(
+            wrong.to_string(),
+            "job3: workload error: staged dataset 2: output [6, -1], reference says [999, -1]"
+        );
+        assert_eq!(wrong.reason(), "workload");
+        assert!(wrong.source().is_none());
+        assert!(matches!(
+            wrong,
+            RuntimeError::Workload {
+                job: JobId(3),
+                detail: WorkloadDetail::StagedMismatch { dataset: 2, .. },
+                ..
+            }
+        ));
         // The unrecoverable chip error exposes its cause the same way.
         let core = RuntimeError::Core(cause.clone());
         assert_eq!(

@@ -61,7 +61,7 @@ pub mod mix;
 mod policy;
 mod runtime;
 
-pub use error::RuntimeError;
+pub use error::{RuntimeError, WorkloadDetail};
 pub use events::{EventKind, RuntimeEvent};
 pub use fleet::{Fleet, FleetError};
 pub use job::{JobId, JobOutput, JobRecord, JobSpec, JobState, JobStats, Workload};

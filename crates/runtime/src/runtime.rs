@@ -23,7 +23,7 @@ use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::Coord;
 use vlsi_workloads::StreamKernel;
 
-use crate::error::RuntimeError;
+use crate::error::{RuntimeError, WorkloadDetail};
 use crate::events::{EventKind, RuntimeEvent};
 use crate::job::{JobId, JobOutput, JobRecord, JobSpec, JobState, JobStats, Workload};
 use crate::policy::{QueuedJob, SchedPolicy};
@@ -495,7 +495,9 @@ impl Runtime {
                                     job_id,
                                     RuntimeError::Workload {
                                         job: job_id,
-                                        detail: format!("restart after defect: {e}"),
+                                        detail: WorkloadDetail::Text(format!(
+                                            "restart after defect: {e}"
+                                        )),
                                         source: Some(e),
                                     },
                                 );
@@ -990,13 +992,7 @@ impl Runtime {
             if let Some(exp) = expected.and_then(|e| e.get(i)) {
                 if out != exp {
                     exec.release(&mut self.chip)?;
-                    self.fail_job(
-                        job_id,
-                        RuntimeError::workload(
-                            job_id,
-                            format!("staged dataset {i}: output {out:?}, reference says {exp:?}"),
-                        ),
-                    );
+                    self.fail_job(job_id, RuntimeError::staged_mismatch(job_id, i, out, exp));
                     return Ok(());
                 }
             }

@@ -8,7 +8,7 @@ use vlsi_bench::hotpath::compile_corpus;
 use vlsi_compile::{compile, CompileError, CompileOptions, Netlist};
 use vlsi_core::{StagedExecutor, VlsiChip};
 use vlsi_prng::Prng;
-use vlsi_runtime::{Fifo, JobSpec, Runtime, RuntimeConfig};
+use vlsi_runtime::{Fifo, JobSpec, Runtime, RuntimeConfig, RuntimeError, WorkloadDetail};
 use vlsi_topology::{Cluster, Coord};
 use vlsi_workloads::netgen;
 
@@ -124,7 +124,7 @@ fn runtime_rejects_wrong_reference_outputs() {
     let chip = VlsiChip::new(8, 8, Cluster::default());
     let mut rt = Runtime::new(chip, Box::new(Fifo), RuntimeConfig::default());
     let env: HashMap<String, i64> = HashMap::from([("x".to_string(), 3)]);
-    rt.submit(JobSpec::for_staged(
+    let job = rt.submit(JobSpec::for_staged(
         "wrong",
         c.program,
         vec![env],
@@ -133,6 +133,19 @@ fn runtime_rejects_wrong_reference_outputs() {
     let summary = rt.run_until_idle(100_000).expect("runtime must drain");
     assert_eq!(summary.completed, 0);
     assert_eq!(summary.failed, 1);
+    // The verdict carries its numbers typed, not formatted into a string.
+    assert_eq!(
+        rt.job(job).unwrap().failure,
+        Some(RuntimeError::Workload {
+            job,
+            detail: WorkloadDetail::StagedMismatch {
+                dataset: 0,
+                got: vec![6],
+                expected: vec![999],
+            },
+            source: None,
+        })
+    );
 }
 
 /// The bench compile workload — the full corpus compiled and executed

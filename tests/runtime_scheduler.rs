@@ -362,3 +362,65 @@ fn relocations_in_the_acceptance_run_are_all_moves() {
         assert_eq!(relocations, moved + recovered, "{name}");
     }
 }
+
+/// `core.gathers` counts regions a job went on to use: admission plans a
+/// staged job's regions on the occupancy index and programs them only
+/// when every stage fits, so each gather is one processor of an
+/// `Admitted` event and every processor still gathered at the end is
+/// resident. A scheduler that programs regions it is about to tear down
+/// counts more — ci.sh prints these lines so that shows as a count.
+#[test]
+fn gathers_in_a_contended_staged_run_are_all_used() {
+    for policy in policies() {
+        let name = policy.name();
+        let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
+        let mut rt = Runtime::new(chip, policy, RuntimeConfig::default());
+        if !rt.telemetry().is_enabled() {
+            return; // built with telemetry compiled out
+        }
+        // Four-cluster stages, several per job, far more than 64 clusters
+        // in all.
+        let mut rng = vlsi_processor::prng::Prng::seed_from_u64(SEED);
+        for i in 0..40 {
+            let case = vlsi_processor::workloads::jobmix::block_case(&mut rng);
+            let spec = JobSpec::for_blocks(
+                format!("blocks-{i}"),
+                case.program,
+                case.datasets,
+                case.result_var,
+            );
+            rt.submit(spec.with_max_retries(64));
+            // Odd-sized reservations of uneven length in between leave
+            // free clusters that no 2×2 fits.
+            let (clusters, ticks) = ([3, 5, 7][i % 3], 2 + (i as u64 * 5) % 23);
+            rt.submit(
+                JobSpec::new(format!("idle-{i}"), clusters, Workload::Idle { ticks })
+                    .with_max_retries(64),
+            );
+        }
+        rt.run_until_idle(500_000).expect("the run must drain");
+        assert_eq!(rt.summary().failed, 0, "{name}");
+        let (mut used, mut refused) = (0u64, 0u64);
+        for e in rt.events() {
+            match &e.kind {
+                EventKind::Admitted {
+                    procs,
+                    pool_hit: false,
+                    ..
+                } => used += procs.len() as u64,
+                EventKind::GatherFailed { .. } => refused += 1,
+                _ => {}
+            }
+        }
+        let snap = rt.telemetry().snapshot();
+        let (gathers, releases) = (snap.counter("core.gathers"), snap.counter("core.releases"));
+        let resident = rt.chip().processors().count() as u64;
+        println!(
+            "{name}: core.gathers {gathers} = admitted regions {used} ({refused} refused \
+             attempts programmed nothing); core.releases {releases} + resident {resident}"
+        );
+        assert!(refused > 0, "{name}: the run must be contended");
+        assert_eq!(gathers, used, "{name}: every gather is an admitted region");
+        assert_eq!(gathers - releases, resident, "{name}");
+    }
+}
