@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The repository's CI gate: formatting, lints as errors, full test suite.
+# The repository's CI gate: formatting, lints as errors, full test suite,
+# pinned determinism digests and the end-to-end benchmark smoke run.
 # Everything runs offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -40,45 +41,15 @@ cargo test -q --offline --test runtime_scheduler \
 echo "== cargo build --release (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build -q --release --offline --workspace
 
-echo "== bench smoke (one iteration per workload, emitted JSON validates)"
-BENCH_SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$BENCH_SMOKE_DIR"' EXIT
-./target/release/bench --smoke --out "$BENCH_SMOKE_DIR"
-# --check validates the fresh JSONs (cluster, ingest, and compile
-# included) and
-# compares medians against the committed BENCH_*.json at the repo root.
-# The smoke tier gates fatally but with a generous threshold (smoke runs
-# are single-iteration and noisy); the full-run tier stays warn-only at
-# 0.25 for trend tracking.
-./target/release/bench --check "$BENCH_SMOKE_DIR" --baseline . --check-threshold 1.0 --check-fatal
+echo "== end-to-end benchmark smoke (benchmark/run.sh --smoke: every workload verifies, seed 2012 and held-out seed 7)"
+benchmark/run.sh --smoke
 
-echo "== thread-matrix determinism (bench --digest at 1/2/8 threads, double-run)"
+echo "== thread-matrix determinism (pinned digest at 1 and 8 threads, sharded/fabric storms at 1/2/8)"
 # The digest covers the fleet, sharded-NoC, acceptance, chaos,
-# cluster_4x, ingest_open_loop, compile_corpus, soa_sweep, and
-# staged_pipeline workloads — the cluster lines gate the inter-chip
-# fabric, the ingest lines the admission front door, the compile lines
-# pin the compiler's full artifact trail plus its executed output on
-# both fleet and cluster sinks, and the staged_pipeline lines pin the
-# Fig. 7(d) cross-dataset wavefront's outputs to one byte pattern at
-# every thread count.
-./target/release/bench --digest "$BENCH_SMOKE_DIR/digest.t1" --threads 1 >/dev/null
-./target/release/bench --digest "$BENCH_SMOKE_DIR/digest.t1b" --threads 1 >/dev/null
-./target/release/bench --digest "$BENCH_SMOKE_DIR/digest.t2" --threads 2 >/dev/null
-./target/release/bench --digest "$BENCH_SMOKE_DIR/digest.t8" --threads 8 >/dev/null
-./target/release/bench --digest "$BENCH_SMOKE_DIR/digest.t8b" --threads 8 >/dev/null
-cmp "$BENCH_SMOKE_DIR/digest.t1" "$BENCH_SMOKE_DIR/digest.t1b"
-cmp "$BENCH_SMOKE_DIR/digest.t8" "$BENCH_SMOKE_DIR/digest.t8b"
-cmp "$BENCH_SMOKE_DIR/digest.t1" "$BENCH_SMOKE_DIR/digest.t2"
-cmp "$BENCH_SMOKE_DIR/digest.t1" "$BENCH_SMOKE_DIR/digest.t8"
-
-echo "== sequential vs pipelined equivalence (staged_pipeline digests must match)"
-# Datasets pushed through the wavefront one at a time must come out
-# byte-identical to the same datasets overlapped in one wavefront.
-seq="$(awk '/^staged_pipeline digest_seq/ {print $3}' "$BENCH_SMOKE_DIR/digest.t1")"
-pipe="$(awk '/^staged_pipeline digest_pipe/ {print $3}' "$BENCH_SMOKE_DIR/digest.t1")"
-test -n "$seq"
-test "$seq" = "$pipe"
-cargo test -q --offline --test parallel_determinism
+# cluster_4x, ingest_open_loop, compile_corpus, soa_sweep and
+# staged_pipeline workloads, and asserts the sequential and pipelined
+# staged_pipeline outputs are identical.
+cargo test -q --offline --release --test parallel_determinism
 
 echo "== telemetry determinism (same seed => byte-identical exports)"
 cargo test -q --offline --test telemetry

@@ -28,8 +28,8 @@ fn bench_ablation(c: &mut Criterion) {
     assert_eq!(chaos_a.makespan, chaos_b.makespan);
     assert_eq!(chaos_a.completed + chaos_a.failed, 40, "no job in limbo");
 
-    let (accept, accept_fnv) = sched_acceptance("fifo");
-    let (accept2, accept_fnv2) = sched_acceptance("fifo");
+    let (accept, accept_fnv) = sched_acceptance();
+    let (accept2, accept_fnv2) = sched_acceptance();
     assert_eq!(accept_fnv, accept_fnv2, "55-job event log must replay");
     assert_eq!(accept.makespan, accept2.makespan);
 
@@ -51,7 +51,7 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| chaos_mix().0.makespan);
     });
     group.bench_function("accept55-fifo", |b| {
-        b.iter(|| sched_acceptance("fifo").0.makespan);
+        b.iter(|| sched_acceptance().0.makespan);
     });
     group.finish();
 }

@@ -16,11 +16,14 @@
 //! machinery and run the ablations DESIGN.md calls out: channel
 //! provisioning vs routability (A), stack capacity vs hit rate (B), and
 //! region size vs configuration latency (C).
+//!
+//! [`hotpath`] holds the workloads behind Ablation IV and the
+//! timing-free [`hotpath::digest`] that `tests/parallel_determinism.rs`
+//! pins at 1 and 8 threads.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod harness;
 pub mod hotpath;
 
 use vlsi_csd::{ChannelUsage, CsdSimulator};

@@ -23,7 +23,6 @@ pub mod error;
 pub mod flit;
 pub mod network;
 pub mod router;
-pub mod vc;
 
 pub use error::NocError;
 pub use flit::{Flit, Packet, WormId};
@@ -31,4 +30,3 @@ pub use network::{
     NetworkStats, NocNetwork, MAX_DELIVERY_ATTEMPTS, RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP,
 };
 pub use router::{Port, Router, INPUT_QUEUE_DEPTH};
-pub use vc::VcNetwork;

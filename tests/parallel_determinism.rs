@@ -5,11 +5,12 @@
 //! chip→task mapping) commits cross-shard effects in a fixed serial
 //! order — so a run at 2 or 8 threads must reproduce the serial run
 //! byte for byte: event logs, telemetry exports, delivered lists,
-//! checksums, everything. This file is the cross-layer pin; `ci.sh`
-//! additionally `cmp`s whole `bench --digest` files across the thread
-//! matrix.
+//! checksums, everything. This file is the cross-layer pin: the
+//! observable tests compare whole runs across thread counts, and the
+//! digest tests hold every hot-path workload to one literal text, which
+//! also catches drift across processes and commits.
 
-use vlsi_bench::hotpath::{fleet_mix, noc_storm, FAULT_STORM_WORMS};
+use vlsi_bench::hotpath::{cluster_4x, digest, fleet_mix, noc_storm};
 use vlsi_processor::noc::NocNetwork;
 use vlsi_processor::par::Pool;
 use vlsi_processor::prng::Prng;
@@ -17,6 +18,71 @@ use vlsi_processor::telemetry::TelemetryHandle;
 use vlsi_processor::topology::Coord;
 
 const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Worms in the faulted storm.
+const FAULT_STORM_WORMS: usize = 240;
+
+/// `digest` at seed 2012. Identical at every thread count and in debug
+/// and release builds; a change that moves a line must say which and why.
+const PINNED_DIGEST: &str = "\
+seed 2012
+fleet_64x64x4 completed 160
+fleet_64x64x4 events_fnv 0x38316952e4fea787
+fleet_64x64x4 telemetry_fnv 0x937994684d6b2e9e
+noc_storm_32x32_sharded digest_fnv 0xd90ee64c4fd007bc
+accept55_fifo event_log_fnv 0x28147b6b5e050042
+chaos_mix_64x64 event_log_fnv 0x7603ba182ce80aaa
+cluster_4x_32x32 completed 30
+cluster_4x_32x32 fabric_messages 29
+cluster_4x_32x32 digest_fnv 0x3f7e7367028c3eba
+ingest_open_loop_4x arrivals 1800
+ingest_open_loop_4x accepted 404
+ingest_open_loop_4x completed 376
+ingest_open_loop_4x digest_fnv 0xf985072a0f83e169
+compile_corpus_12 graphs 12
+compile_corpus_12 completed 24
+compile_corpus_12 digest_fnv 0xfbb6280af64ed0eb
+soa_sweep_1024ap lanes 1024
+soa_sweep_1024ap digest_soa 0x5e9c7284cd700697
+chaos_mix_128x128 event_log_fnv 0xcb699d91864560a1
+staged_pipeline datasets 384
+staged_pipeline digest_seq 0x2ee45a612cb3e16f
+staged_pipeline digest_pipe 0x2ee45a612cb3e16f
+";
+
+/// Runs the digest at `threads` and holds it to [`PINNED_DIGEST`],
+/// printing the actual text on a mismatch.
+fn assert_digest_is_pinned(threads: usize) {
+    let text = digest(threads);
+    // The Fig. 7(d) wavefront: datasets pushed through one at a time must
+    // come out byte-identical to the same datasets overlapped in one
+    // wavefront.
+    let value = |key: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or_else(|| panic!("digest has no `{key}` line:\n{text}"))
+            .to_string()
+    };
+    assert_eq!(
+        value("staged_pipeline digest_seq "),
+        value("staged_pipeline digest_pipe "),
+        "pipelined outputs must match the sequential walk ({threads} threads)"
+    );
+    assert!(
+        text == PINNED_DIGEST,
+        "digest at {threads} thread(s) differs from the pinned text; actual:\n{text}"
+    );
+}
+
+#[test]
+fn digest_at_one_thread_matches_the_pinned_text() {
+    assert_digest_is_pinned(1);
+}
+
+#[test]
+fn digest_at_eight_threads_matches_the_pinned_text() {
+    assert_digest_is_pinned(8);
+}
 
 /// A seed-driven storm on a sharded mesh, returning everything
 /// observable: the delivered (packet, latency) list, the failure list,
@@ -198,31 +264,10 @@ fn cross_chip_storm_with_chip_failure_is_bit_identical() {
 
 #[test]
 fn cluster_chaos_run_is_bit_identical_across_thread_counts() {
-    use vlsi_bench::hotpath::cluster_4x;
     let serial = cluster_4x(1);
     assert!(serial.0 > 0, "the cluster must complete jobs");
     assert!(serial.1 > 0, "migration must ride the fabric");
     for threads in THREADS {
         assert_eq!(cluster_4x(threads), serial, "{threads} threads");
     }
-}
-
-#[test]
-fn staged_pipeline_is_bit_identical_across_thread_counts() {
-    // The Fig. 7(d) cross-dataset wavefront: pipelined outputs must
-    // equal the sequential walk's *and* stay put when the per-tick
-    // region sweep runs on 2 or 8 workers.
-    use vlsi_bench::hotpath::staged_pipeline;
-    let serial = staged_pipeline(1, 6);
-    assert_eq!(
-        serial.digest_seq, serial.digest_pipe,
-        "pipelined outputs must match the sequential walk"
-    );
-    for threads in THREADS {
-        let r = staged_pipeline(threads, 6);
-        assert_eq!(r.digest_pipe, serial.digest_pipe, "{threads} threads");
-        assert_eq!(r.digest_seq, serial.digest_seq, "{threads} threads");
-    }
-    // Determinism also means replay: the same thread count twice.
-    assert_eq!(staged_pipeline(8, 6).digest_pipe, serial.digest_pipe);
 }
