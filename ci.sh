@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The repository's CI gate: formatting, lints as errors, full test suite,
-# pinned determinism digests and the end-to-end benchmark smoke run.
+# The repository's CI gate: formatting, lints and rustdoc links as errors, full
+# test suite, pinned determinism digests and the end-to-end benchmark smoke run.
 # Everything runs offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -10,6 +10,9 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc -D warnings (no dead or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
 echo "== cargo test -q"
 # Includes the chaos suite (chaos_transport: fixed seed matrix, 3 seeds x

@@ -135,11 +135,6 @@ impl ObjectStack {
         self.entries.iter_mut().find(|b| b.id() == id)
     }
 
-    /// The object at depth `d` (0 = top).
-    pub fn at_depth(&self, d: usize) -> Option<&BoundObject> {
-        self.entries.get(d)
-    }
-
     /// Iterates top-to-bottom.
     pub fn iter(&self) -> impl Iterator<Item = &BoundObject> {
         self.entries.iter()

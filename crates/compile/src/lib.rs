@@ -13,22 +13,22 @@
 //! 1. [`netlist`] — **parse**: text → [`Netlist`], with typed
 //!    1-line-numbered errors and a byte-identical [`Netlist::render`]
 //!    round trip;
-//! 2. [`partition`] — **partition**: the DAG is cut into pipeline
+//! 2. [`partition`](mod@partition) — **partition**: the DAG is cut into pipeline
 //!    stages of bounded size, generalising the basic-block partitioner:
 //!    nodes fill stages in definition order (constants duplicate
 //!    locally for free);
-//! 3. [`shape`] — **shape**: each stage picks a rectangular AP region
+//! 3. [`shape`](mod@shape) — **shape**: each stage picks a rectangular AP region
 //!    sized by the §4 cost model (minimum area, then minimum
 //!    perimeter-weighted wire delay for the configured ITRS year);
-//! 4. [`place`] — **place**: shapes bind to concrete die coordinates
+//! 4. [`place`](mod@place) — **place**: shapes bind to concrete die coordinates
 //!    on a defect-aware [`FabricIndex`](vlsi_topology::FabricIndex)
 //!    mirror, largest-first / row-major first-fit;
 //! 5. [`channels`] — **channel assignment**: every inter-stage value
 //!    gets a CSD mailbox block, checked against memory capacity;
-//! 6. [`schedule`] — **schedule**: stages lower to
+//! 6. [`schedule`](mod@schedule) — **schedule**: stages lower to
 //!    [`StagedProgram`](vlsi_core::StagedProgram) objects + optimised
 //!    configuration streams, directly submittable to the runtime as
-//!    [`Workload::Staged`](vlsi_runtime) jobs or executable in-process
+//!    `vlsi_runtime::Workload::Staged` jobs or executable in-process
 //!    via [`StagedExecutor`](vlsi_core::StagedExecutor);
 //! 7. [`pipemeta`] — **pipeline**: the scheduled stages' Fig. 7(d)
 //!    overlap contract ([`PipelineMeta`]): stage depth, double-buffered

@@ -16,7 +16,7 @@
 //!   as an execution tap.
 //!
 //! The raw element list is then fed through
-//! [`optimize_stream`](vlsi_workloads::optimize_stream) — the paper's
+//! [`optimize_stream`] — the paper's
 //! §5 point that "the application compiler chooses the stream order" —
 //! so the emitted stream arrives in the working-set-friendly order the
 //! optimiser proves semantics-preserving.

@@ -125,8 +125,8 @@ pub struct ClusterSummary {
     pub per_chip: Vec<RuntimeSummary>,
 }
 
-/// Fleet scheduling over an inter-chip fabric. See the
-/// [module docs](self).
+/// Fleet scheduling over an inter-chip fabric: cluster-wide admission,
+/// job migration, and whole-chip chaos, driven by one clock.
 pub struct Cluster {
     fleet: Fleet,
     net: ClusterNetwork,
@@ -202,11 +202,6 @@ impl Cluster {
         &self.fleet
     }
 
-    /// The underlying fleet, mutably (per-chip fault plans, inspection).
-    pub fn fleet_mut(&mut self) -> &mut Fleet {
-        &mut self.fleet
-    }
-
     /// The interconnect.
     pub fn network(&self) -> &ClusterNetwork {
         &self.net
@@ -255,20 +250,13 @@ impl Cluster {
     }
 
     /// Submits a job cluster-wide: it is placed on the live chip with
-    /// the most free clusters (lowest index on ties). A job too large
-    /// for every live chip still lands somewhere and fails typed there.
-    pub fn submit(&mut self, spec: JobSpec) -> GlobalJobId {
-        let chip = self.pick_chip(spec.clusters).unwrap_or(0);
-        self.submit_to(chip, spec)
-    }
-
-    /// Submits a job only if some live chip can (eventually) hold it.
-    /// Returns `None` — no placement, no side effects — when every
-    /// live chip is too small or the whole cluster is dead, so a
-    /// service front-end can turn "nowhere to run" into a typed
-    /// rejection instead of the panic [`Cluster::submit_to`] reserves
-    /// for internal misuse.
-    pub fn try_submit(&mut self, spec: JobSpec) -> Option<GlobalJobId> {
+    /// the most free clusters that can (eventually) hold it, lowest
+    /// index on ties. Returns `None` — no placement, no side effects —
+    /// when every live chip is too small, the whole cluster is dead, or
+    /// it has no chips, so a service front-end can turn "nowhere to
+    /// run" into a typed rejection instead of the panic
+    /// [`Cluster::submit_to`] reserves for internal misuse.
+    pub fn submit(&mut self, spec: JobSpec) -> Option<GlobalJobId> {
         let chip = self.pick_chip(spec.clusters)?;
         Some(self.submit_to(chip, spec))
     }
@@ -307,8 +295,9 @@ impl Cluster {
         best.map(|(_, c)| c)
     }
 
-    /// Advances the cluster one tick. See the [module docs](self) for
-    /// the phase order.
+    /// Advances the cluster one tick: chip deaths, a parallel runtime
+    /// tick of the live chips, the migration scan, one fabric tick, then
+    /// checkpoint arrivals — in that fixed order.
     pub fn tick(&mut self) -> Result<(), ClusterError> {
         self.now += 1;
         // 1. Chip deaths scheduled for this tick.
@@ -616,11 +605,42 @@ mod tests {
     #[test]
     fn single_chip_cluster_degenerates_to_a_runtime() {
         let mut cluster = cluster_of(1, 1);
-        let gid = cluster.submit(idle(4, 3));
+        let gid = cluster.submit(idle(4, 3)).expect("the one chip fits it");
         let summary = cluster.run_until_idle(1_000).unwrap();
         assert_eq!(summary.completed, 1);
         assert_eq!(summary.migrated, 0, "nowhere to steal to");
         assert_eq!(cluster.locate(gid), Some((0, JobId(0))), "never moved");
+    }
+
+    #[test]
+    fn submit_with_nowhere_to_run_is_none_and_changes_nothing() {
+        let mut cluster = cluster_of(2, 1);
+        cluster.submit_to(1, idle(8, 200));
+        let mut plan = FaultPlan::none();
+        plan.push(vlsi_faults::Fault::permanent(
+            vlsi_faults::FaultKind::ChipDown { chip: 0 },
+            1,
+        ));
+        cluster.attach_fault_plan(plan);
+        for _ in 0..4 {
+            cluster.tick().unwrap();
+        }
+        assert!(!cluster.alive(0));
+        let (jobs, outstanding) = (cluster.jobs.len(), cluster.outstanding());
+        assert_eq!(outstanding, 1);
+        // Chip 1 is an 8x8 die: 64 clusters, so 65 fits nowhere live.
+        assert_eq!(cluster.submit(idle(65, 3)), None);
+        assert_eq!(cluster.jobs.len(), jobs, "no job recorded");
+        assert_eq!(cluster.outstanding(), outstanding);
+
+        let mut empty = Cluster::new(
+            ClusterTopology::ring(1),
+            (8, 8),
+            Pool::serial(),
+            ClusterConfig::standard(),
+        );
+        assert_eq!(empty.submit(idle(1, 3)), None, "no chips at all");
+        assert_eq!(empty.outstanding(), 0);
     }
 
     #[test]

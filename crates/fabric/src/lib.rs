@@ -38,7 +38,8 @@
 //!     let chip = VlsiChip::new(8, 8, ClusterShape::default());
 //!     cluster.push_chip(Runtime::new(chip, Box::new(Fifo), RuntimeConfig::default()));
 //! }
-//! cluster.submit(JobSpec::new("warm", 4, Workload::Idle { ticks: 3 }));
+//! let gid = cluster.submit(JobSpec::new("warm", 4, Workload::Idle { ticks: 3 }));
+//! assert!(gid.is_some(), "some live chip fits a 4-cluster job");
 //! let summary = cluster.run_until_idle(10_000).unwrap();
 //! assert_eq!(summary.completed, 1);
 //! ```

@@ -36,15 +36,14 @@
 //! eight adjacent link queues are severed, and every in-flight message
 //! touching it is either retransmitted from its source (counted in
 //! `fabric.retransmits`) or failed typed — never dropped silently. A
-//! plane may also carry its own [`FaultPlan`]; worms its fault-tolerant
-//! transport gives up on surface here as fabric-level retransmissions.
+//! worm a plane's transport gives up on surfaces here as a fabric-level
+//! retransmission.
 //!
 //! [`fail_chip`]: ClusterNetwork::fail_chip
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use vlsi_faults::FaultPlan;
 use vlsi_noc::{NocNetwork, WormId};
 use vlsi_par::Pool;
 use vlsi_telemetry::TelemetryHandle;
@@ -157,8 +156,8 @@ pub struct FabricStats {
     pub chip_failures: u64,
 }
 
-/// `M` fabric planes bridged into one cluster. See the
-/// [module docs](self).
+/// `M` fabric planes bridged into one cluster by latency- and
+/// bandwidth-limited off-chip links.
 pub struct ClusterNetwork {
     topo: ClusterTopology,
     mesh: (u16, u16),
@@ -274,15 +273,6 @@ impl ClusterNetwork {
         }
     }
 
-    /// Attaches a fault plan (times in plane cycles) to chip `chip`'s
-    /// fabric plane — the plane transports fault-tolerantly and worms it
-    /// gives up on come back as fabric-level retransmissions. Note that
-    /// a plane's clock only advances while it carries traffic, so plan
-    /// times count *busy* plane cycles, not wall fabric cycles.
-    pub fn attach_plane_fault_plan(&mut self, chip: usize, plan: FaultPlan) {
-        self.planes[chip].attach_fault_plan(plan);
-    }
-
     /// Sends `payload` from router `src` on `src_chip` to router `dst`
     /// on `dst_chip`. Routing, link scheduling, and retransmission are
     /// the network's business; the caller polls
@@ -371,8 +361,9 @@ impl ClusterNetwork {
     }
 
     /// Advances the cluster one tick: `cycles_per_tick` two-phase fabric
-    /// cycles, then one round of link transmission. See the
-    /// [module docs](self) for the ordering discipline.
+    /// cycles (planes in parallel, then a serial commit in ascending
+    /// chip order), then one round of link transmission in fixed
+    /// link-index order.
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.ticks += 1;

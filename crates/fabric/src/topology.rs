@@ -26,7 +26,8 @@ pub fn link_dir_index(dir: Dir) -> usize {
     }
 }
 
-/// A torus of chips. See the [module docs](self).
+/// A torus of chips (a ring is the `M × 1` case) with greedy
+/// dimension-order routing between them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ClusterTopology {
     width: usize,

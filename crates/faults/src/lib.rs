@@ -418,12 +418,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Inclusive bounds on transient fault durations.
-    pub fn transient_duration(mut self, lo: u64, hi: u64) -> Self {
-        self.transient_range = (lo.max(1), hi.max(lo.max(1)));
-        self
-    }
-
     fn draw_window(&self, rng: &mut Prng) -> (u64, Option<u64>) {
         let start = rng.gen_range(0..self.horizon);
         let permanent = rng.gen_bool(self.permanent_fraction);

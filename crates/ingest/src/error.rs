@@ -2,10 +2,12 @@
 
 use std::fmt;
 
+use vlsi_fabric::ClusterError;
+
 /// Errors raised at the ingestion boundary. Overload is *never* a
 /// silent drop: a full ring is a typed [`IngestError::RingFull`] the
 /// producer must handle (retry, back off, or give up — all counted).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum IngestError {
     /// The submission ring is at capacity; the producer should back off
     /// and retry (see `IngestClient`) or give up, typed.
@@ -21,11 +23,8 @@ pub enum IngestError {
         /// Work still in the ring, retry queue, or sink.
         outstanding: u64,
     },
-    /// The sink underneath the service failed unrecoverably.
-    Sink {
-        /// The sink's own error, rendered.
-        detail: String,
-    },
+    /// The cluster underneath the service failed unrecoverably.
+    Sink(ClusterError),
 }
 
 impl fmt::Display for IngestError {
@@ -38,9 +37,15 @@ impl fmt::Display for IngestError {
                 f,
                 "ingest service did not drain within {ticks} ticks ({outstanding} outstanding)"
             ),
-            IngestError::Sink { detail } => write!(f, "sink error: {detail}"),
+            IngestError::Sink(e) => write!(f, "sink error: {e}"),
         }
     }
 }
 
 impl std::error::Error for IngestError {}
+
+impl From<ClusterError> for IngestError {
+    fn from(e: ClusterError) -> IngestError {
+        IngestError::Sink(e)
+    }
+}

@@ -16,10 +16,11 @@
 //! * [`IngestClient`] — producer-side resilience: capped exponential
 //!   retry-with-backoff on [`IngestError::RingFull`], deterministic
 //!   jitter, submission timeouts.
-//! * [`IngestService`] — the tick-boundary drain loop over any
-//!   [`IngestSink`] ([`Runtime`](vlsi_runtime::Runtime),
-//!   [`Fleet`](vlsi_runtime::Fleet), [`Cluster`](vlsi_fabric::Cluster)),
-//!   with degraded-mode hysteresis and `ingest.*` telemetry.
+//! * [`IngestService`] — the tick-boundary drain loop in front of a
+//!   [`Cluster`](vlsi_fabric::Cluster), with degraded-mode hysteresis
+//!   and `ingest.*` telemetry. The sink is the [`IngestSink`] trait
+//!   only so a wrapper (the benchmark's span-timing `TimedSink`) can
+//!   sit in between.
 //! * [`accounting`] — the exact job-conservation ledger: arrivals
 //!   balance against verdicts, give-ups, and in-flight work at any
 //!   instant; the chaos harness asserts it after every storm.

@@ -1,8 +1,9 @@
 //! The ingest service: drains the submission ring at tick boundaries,
 //! applies admission, and drives the sink underneath.
 //!
-//! One [`IngestService`] fronts one [`IngestSink`] — a [`Runtime`], a
-//! [`Fleet`], or a [`Cluster`] — with a fixed intra-tick order:
+//! One [`IngestService`] fronts one [`IngestSink`] — a [`Cluster`], or
+//! a wrapper around one such as the benchmark's span-timing
+//! `TimedSink` — with a fixed intra-tick order:
 //!
 //! 1. bucket refills ([`AdmissionControl::begin_tick`]);
 //! 2. ring drain, in global enqueue order, one typed
@@ -21,7 +22,7 @@
 use std::sync::Arc;
 
 use vlsi_fabric::Cluster;
-use vlsi_runtime::{Fleet, JobSpec, Runtime, Workload};
+use vlsi_runtime::{JobSpec, Workload};
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_workloads::ArrivalEvent;
 
@@ -43,9 +44,10 @@ pub struct SubmitRequest {
     pub first_attempt_at: u64,
 }
 
-/// What the service can feed jobs into. Implemented for [`Runtime`]
-/// (one chip), [`Fleet`] (independent chips; least-loaded placement),
-/// and [`Cluster`] (fabric-connected chips with migration).
+/// What the service can feed jobs into. The one implementation here is
+/// [`Cluster`]; the trait exists so a wrapper — the benchmark's
+/// span-timing `TimedSink` — can sit between the service and the
+/// cluster without changing either.
 pub trait IngestSink {
     /// Submits a job. `false` means the sink cannot take it at all (no
     /// live chip large enough) — the service counts a typed rejection.
@@ -58,89 +60,18 @@ pub trait IngestSink {
     fn completed(&self) -> u64;
     /// Jobs failed (gracefully, typed) so far.
     fn failed(&self) -> u64;
-    /// Jobs lost with a typed reason (cluster-side only; 0 elsewhere).
-    fn lost(&self) -> u64 {
-        0
-    }
-}
-
-impl IngestSink for Runtime {
-    fn submit_job(&mut self, spec: JobSpec) -> bool {
-        // The runtime itself turns impossible requests into graceful,
-        // typed failures, so submission always lands.
-        self.submit(spec);
-        true
-    }
-
-    fn tick_sink(&mut self) -> Result<(), IngestError> {
-        self.tick().map_err(|e| IngestError::Sink {
-            detail: e.to_string(),
-        })
-    }
-
-    fn outstanding(&self) -> usize {
-        Runtime::outstanding(self)
-    }
-
-    fn completed(&self) -> u64 {
-        self.stats().completed
-    }
-
-    fn failed(&self) -> u64 {
-        self.stats().failed
-    }
-}
-
-impl IngestSink for Fleet {
-    /// Least-loaded placement: the chip with the most free clusters
-    /// that can hold the job, lowest index on ties.
-    fn submit_job(&mut self, spec: JobSpec) -> bool {
-        let mut best: Option<(usize, usize)> = None;
-        for c in 0..self.len() {
-            let chip = self.chip(c).chip();
-            if chip.usable_clusters() < spec.clusters {
-                continue;
-            }
-            let free = chip.free_clusters();
-            if best.is_none_or(|(bf, _)| free > bf) {
-                best = Some((free, c));
-            }
-        }
-        let Some((_, c)) = best else {
-            return false;
-        };
-        self.chip_mut(c).submit(spec);
-        true
-    }
-
-    fn tick_sink(&mut self) -> Result<(), IngestError> {
-        self.tick().map_err(|e| IngestError::Sink {
-            detail: e.to_string(),
-        })
-    }
-
-    fn outstanding(&self) -> usize {
-        self.chips().map(Runtime::outstanding).sum()
-    }
-
-    fn completed(&self) -> u64 {
-        self.chips().map(|c| c.stats().completed).sum()
-    }
-
-    fn failed(&self) -> u64 {
-        self.chips().map(|c| c.stats().failed).sum()
-    }
+    /// Jobs lost with a typed reason. No default: a wrapper that
+    /// forgot to forward it would silently unbalance the ledger.
+    fn lost(&self) -> u64;
 }
 
 impl IngestSink for Cluster {
     fn submit_job(&mut self, spec: JobSpec) -> bool {
-        self.try_submit(spec).is_some()
+        self.submit(spec).is_some()
     }
 
     fn tick_sink(&mut self) -> Result<(), IngestError> {
-        self.tick().map_err(|e| IngestError::Sink {
-            detail: e.to_string(),
-        })
+        Ok(self.tick()?)
     }
 
     fn outstanding(&self) -> usize {
@@ -256,11 +187,6 @@ impl<S: IngestSink> IngestService<S> {
     /// The sink underneath.
     pub fn sink(&self) -> &S {
         &self.sink
-    }
-
-    /// The sink underneath, mutably (fault plans, inspection).
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
     }
 
     /// The current service tick.

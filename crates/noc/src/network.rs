@@ -346,11 +346,6 @@ impl NocNetwork {
         self.par_min_resident = min_resident;
     }
 
-    /// Executors the sharded tick can use (1 = serial).
-    pub fn parallel_threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// Shards the next loaded tick would fan out over.
     fn shard_count(&self) -> usize {
         let t = self.pool.threads();

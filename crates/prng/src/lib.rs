@@ -48,11 +48,6 @@ impl Prng {
         z ^ (z >> 31)
     }
 
-    /// The next 32-bit draw (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw from `range` (mirrors `Rng::gen_range`). Accepts
     /// half-open (`lo..hi`) and inclusive (`lo..=hi`) ranges over the
     /// integer types implementing [`UniformSample`].

@@ -40,8 +40,8 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// `M` independent chips ticked on one deterministic pool. See the
-/// [module docs](self).
+/// `M` independent chips ticked on one deterministic pool, chip `i`
+/// always task `i`.
 pub struct Fleet {
     chips: Vec<Runtime>,
     pool: Arc<Pool>,
@@ -103,17 +103,11 @@ impl Fleet {
     /// fleet step shares: the per-chip `Mutex` is uncontended by
     /// construction and only exists to hand each worker a `&mut` through
     /// the shared closure.
-    fn each_chip<R: Send>(&mut self, f: impl Fn(&mut Runtime) -> R + Sync) -> Vec<R> {
+    fn each_chip<R: Send>(&mut self, f: impl Fn(usize, &mut Runtime) -> R + Sync) -> Vec<R> {
         let views: Vec<Mutex<&mut Runtime>> = self.chips.iter_mut().map(Mutex::new).collect();
         self.pool.map(views.len(), |i| {
-            f(&mut views[i].lock().unwrap_or_else(|e| e.into_inner()))
+            f(i, &mut views[i].lock().unwrap_or_else(|e| e.into_inner()))
         })
-    }
-
-    /// Advances every chip one tick (in parallel, deterministically).
-    pub fn tick(&mut self) -> Result<(), FleetError> {
-        let results = self.each_chip(Runtime::tick);
-        first_error(results.into_iter().map(|r| r.map(|_| ())))
     }
 
     /// Advances only the chips whose `alive` flag is set (indices past
@@ -122,10 +116,9 @@ impl Fleet {
     /// survivors keep the same chip-`i`-is-task-`i` assignment, so the
     /// run stays bit-identical at every thread count.
     pub fn tick_masked(&mut self, alive: &[bool]) -> Result<(), FleetError> {
-        let views: Vec<Mutex<&mut Runtime>> = self.chips.iter_mut().map(Mutex::new).collect();
-        let results = self.pool.map(views.len(), |i| {
+        let results = self.each_chip(|i, chip| {
             if *alive.get(i).unwrap_or(&true) {
-                views[i].lock().unwrap_or_else(|e| e.into_inner()).tick()
+                chip.tick()
             } else {
                 Ok(())
             }
@@ -138,7 +131,7 @@ impl Fleet {
     /// Chips are independent, so per-chip results are bit-identical to
     /// running each chip alone, at every thread count.
     pub fn run_until_idle(&mut self, max_ticks: u64) -> Result<Vec<RuntimeSummary>, FleetError> {
-        let results = self.each_chip(|chip| chip.run_until_idle(max_ticks));
+        let results = self.each_chip(|_, chip| chip.run_until_idle(max_ticks));
         let mut summaries = Vec::with_capacity(results.len());
         for (chip, r) in results.into_iter().enumerate() {
             match r {

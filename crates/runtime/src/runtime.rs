@@ -138,7 +138,8 @@ struct PoolEntry {
     clusters: usize,
 }
 
-/// The multi-tenant scheduler. See the [module docs](self).
+/// The multi-tenant scheduler: one chip, a queue of tenant jobs, and a
+/// deterministic simulated clock.
 pub struct Runtime {
     chip: VlsiChip,
     policy: Box<dyn SchedPolicy>,
@@ -271,23 +272,11 @@ impl Runtime {
         &self.fault_plan
     }
 
-    /// An S-topology switch was detected stuck *now* (an unscheduled,
-    /// externally detected fault): mark the cluster defective and
-    /// recover its tenant immediately.
-    pub fn report_switch_fault(&mut self, coord: Coord) -> Result<(), RuntimeError> {
-        self.apply_reported_fault(coord, "s-topology")
-    }
-
-    /// A NoC link or router serving `coord` was detected dead *now*:
-    /// mark the cluster defective and recover its tenant immediately.
-    pub fn report_noc_fault(&mut self, coord: Coord) -> Result<(), RuntimeError> {
-        self.apply_reported_fault(coord, "noc")
-    }
-
     // --- the clock -----------------------------------------------------------
 
-    /// Advances simulated time by one tick. See the [module docs](self)
-    /// for the fixed intra-tick order.
+    /// Advances simulated time by one tick, in a fixed order: sleep-timer
+    /// expiry, scheduled fault reports and defect recovery, job
+    /// completion, queued-deadline expiry, then admission.
     pub fn tick(&mut self) -> Result<(), RuntimeError> {
         self.now += 1;
         let now = self.now;
@@ -1141,11 +1130,6 @@ impl Runtime {
     /// Regions currently parked in the warm pool.
     pub fn pool_len(&self) -> usize {
         self.pool.len()
-    }
-
-    /// The scheduling policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// The chip-level counters so far.

@@ -167,11 +167,6 @@ impl ClusterGrid {
     pub fn total_compute_objects(&self) -> usize {
         self.cluster_count() * self.cluster.compute_objects
     }
-
-    /// Total memory objects on the chip.
-    pub fn total_memory_objects(&self) -> usize {
-        self.cluster_count() * self.cluster.memory_objects
-    }
 }
 
 #[cfg(test)]

@@ -20,15 +20,3 @@ pub use vlsi_runtime as runtime;
 pub use vlsi_telemetry as telemetry;
 pub use vlsi_topology as topology;
 pub use vlsi_workloads as workloads;
-
-/// The cluster layer's front door, re-exported flat: a [`Fleet`] of
-/// runtimes plus the fabric types that turn it into one machine.
-pub use vlsi_fabric::{Cluster, ClusterConfig, ClusterNetwork, ClusterTopology};
-pub use vlsi_runtime::{Fleet, FleetError};
-
-/// The ingestion front door, re-exported flat: the submission ring,
-/// admission control, the retrying client, and the tick-boundary
-/// service that drives any sink deterministically under overload.
-pub use vlsi_ingest::{
-    AdmissionVerdict, IngestClient, IngestConfig, IngestError, IngestService, SubmissionRing,
-};

@@ -246,7 +246,7 @@ fn hung_guard_fires_typed_instead_of_hanging() {
 #[test]
 fn all_chips_down_rejects_typed_rather_than_panicking() {
     // Kill every chip: accepted admission turns into typed sink
-    // rejections (the cluster's try_submit has nowhere to place), and
+    // rejections (the cluster's submit has nowhere to place), and
     // the ledger still balances.
     let mut cluster = ChipCluster::with_telemetry(
         ClusterTopology::ring(2),
