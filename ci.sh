@@ -63,4 +63,7 @@ cargo run -q --offline --example telemetry_trace >/dev/null
 cmp target/trace.first.json target/trace.json
 cmp target/telemetry.first.json target/telemetry.json
 
+echo "== the paper's tables and figures still print (examples/experiments.rs)"
+cargo run -q --release --offline --example experiments >/dev/null
+
 echo "CI green."

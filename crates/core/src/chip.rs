@@ -1605,6 +1605,31 @@ mod tests {
         b.activate(ub.id).unwrap();
         b.deactivate(ub.id).unwrap();
         b.release_processor(ub.id).unwrap();
+
+        // Ablation G: near and far from the supervisor on a 12x12 die,
+        // the pipelined unicast fleet never finishes after the serial
+        // worm.
+        let latency = |strategy, origin, side| {
+            VlsiChip::new(12, 12, Cluster::default())
+                .gather_with(Region::rect(origin, side, side), strategy)
+                .unwrap()
+                .config_latency
+        };
+        for (side, origin) in [
+            (2u16, Coord::new(0, 0)),
+            (2, Coord::new(10, 10)),
+            (4, Coord::new(0, 0)),
+            (4, Coord::new(8, 8)),
+            (6, Coord::new(6, 6)),
+        ] {
+            let u = latency(ConfigStrategy::UnicastWorms, origin, side);
+            let t = latency(ConfigStrategy::TravelingWorm, origin, side);
+            println!("{side}x{side} at {origin}: unicast {u}, traveling {t}");
+            assert!(
+                u <= t,
+                "{side}x{side} at {origin}: unicast {u} > traveling {t}"
+            );
+        }
     }
 
     #[test]

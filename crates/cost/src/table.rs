@@ -1,7 +1,7 @@
 //! Pretty-printers that regenerate the paper's tables as text.
 //!
-//! Used by the `vlsi-bench` table binaries; kept here so the formatting is
-//! testable and the binaries stay trivial.
+//! Used by the `experiments` example; kept here so the formatting is
+//! testable and the example stays trivial.
 
 use crate::area::{
     control_object_modules, memory_block_modules, physical_object_modules, total_area, ModuleArea,

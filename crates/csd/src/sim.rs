@@ -343,7 +343,7 @@ mod tests {
     fn random_datapath_needs_at_most_half_the_channels() {
         // The paper's headline: "Nobject channels were not used, and
         // Nobject/2 channels are sufficient for the random datapath."
-        for &n in &[16usize, 32, 64] {
+        for &n in &[16usize, 32, 64, 128, 256] {
             let sim = CsdSimulator::new(n, n);
             let u = sim.sweep_point(0.0, 30, 42);
             assert!(

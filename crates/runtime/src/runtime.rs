@@ -1219,12 +1219,9 @@ mod tests {
             .any(|e| matches!(e.kind, EventKind::Completed { .. })));
         let total = rt.events().len() as u64 + rt.dropped_events();
         assert!(total > 8, "more events were produced than retained");
-        if rt.telemetry().is_enabled() {
-            // built without compile-out
-            let snap = rt.telemetry().snapshot();
-            assert_eq!(snap.counter("runtime.events_dropped"), rt.dropped_events());
-            assert_eq!(snap.counter("runtime.submissions"), 6);
-        }
+        let snap = rt.telemetry().snapshot();
+        assert_eq!(snap.counter("runtime.events_dropped"), rt.dropped_events());
+        assert_eq!(snap.counter("runtime.submissions"), 6);
     }
 
     #[test]

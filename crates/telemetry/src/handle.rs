@@ -11,10 +11,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// same registry, so a chip and the runtime driving it share a single
 /// set of instruments. The [`Default`] handle is **disabled**: every
 /// recording call is a single branch on `Option::None` and allocates
-/// nothing. Building with the `compile-out` cargo feature compiles even
-/// that branch away — recording methods become empty and
-/// [`TelemetryHandle::active`] yields a disabled handle, which the
-/// overhead bench relies on.
+/// nothing.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryHandle {
     inner: Option<Arc<Mutex<Registry>>>,
@@ -22,17 +19,10 @@ pub struct TelemetryHandle {
 
 impl TelemetryHandle {
     /// A live handle backed by a fresh registry.
-    #[cfg(not(feature = "compile-out"))]
     pub fn active() -> TelemetryHandle {
         TelemetryHandle {
             inner: Some(Arc::new(Mutex::new(Registry::new()))),
         }
-    }
-
-    /// With `compile-out`, even "active" handles are inert.
-    #[cfg(feature = "compile-out")]
-    pub fn active() -> TelemetryHandle {
-        TelemetryHandle { inner: None }
     }
 
     /// The no-op handle (same as [`Default`]).
@@ -234,7 +224,6 @@ mod tests {
         assert!(!TelemetryHandle::default().is_enabled());
     }
 
-    #[cfg(not(feature = "compile-out"))]
     #[test]
     fn clones_share_one_registry() {
         let t = TelemetryHandle::active();
@@ -244,7 +233,6 @@ mod tests {
         assert_eq!(t.snapshot().counter("x"), 5);
     }
 
-    #[cfg(not(feature = "compile-out"))]
     #[test]
     fn fork_isolates_until_absorbed() {
         let t = TelemetryHandle::active();
@@ -269,7 +257,6 @@ mod tests {
         assert_eq!(t.snapshot().counter("x"), 13);
     }
 
-    #[cfg(not(feature = "compile-out"))]
     #[test]
     fn self_and_clone_merges_are_no_ops() {
         let t = TelemetryHandle::active();
@@ -283,14 +270,5 @@ mod tests {
         t.absorb(&d);
         assert!(!d.fork().is_enabled());
         assert_eq!(t.snapshot().counter("x"), 2);
-    }
-
-    #[cfg(feature = "compile-out")]
-    #[test]
-    fn compile_out_makes_active_inert() {
-        let t = TelemetryHandle::active();
-        assert!(!t.is_enabled());
-        t.count("x", 2);
-        assert!(t.snapshot().is_empty());
     }
 }

@@ -245,13 +245,11 @@ fn runtime_chaos_resolves_every_job_and_replays_identically() {
             );
             // The registry agrees with the runtime's own counters.
             let snap = rt.telemetry().snapshot();
-            if rt.telemetry().is_enabled() {
-                assert_eq!(
-                    snap.counter("runtime.faults_reported"),
-                    rt.stats().faults_reported
-                );
-                assert_eq!(snap.counter("runtime.submissions"), rt.stats().submitted);
-            }
+            assert_eq!(
+                snap.counter("runtime.faults_reported"),
+                rt.stats().faults_reported
+            );
+            assert_eq!(snap.counter("runtime.submissions"), rt.stats().submitted);
             // Clause 3: the whole event log — and every telemetry
             // export — replays bit-identically.
             let replay = runtime_chaos_run(seed, rate);

@@ -1,10 +1,10 @@
 //! End-to-end tests for the vlsi-compile pipeline: every corpus graph
 //! compiles through all six passes and *executes* — on a clean chip, on
-//! a chip with an injected defect plan, through the runtime scheduler,
-//! and with digests that are byte-identical across thread counts.
+//! a chip with an injected defect plan and through the runtime
+//! scheduler. The corpus digest's thread invariance is pinned in
+//! `tests/parallel_determinism.rs`.
 
 use std::collections::HashMap;
-use vlsi_bench::hotpath::compile_corpus;
 use vlsi_compile::{compile, CompileError, CompileOptions, Netlist};
 use vlsi_core::{StagedExecutor, VlsiChip};
 use vlsi_prng::Prng;
@@ -146,22 +146,6 @@ fn runtime_rejects_wrong_reference_outputs() {
             source: None,
         })
     );
-}
-
-/// The bench compile workload — the full corpus compiled and executed
-/// on fleet and cluster sinks — produces one byte pattern at 1, 2, and
-/// 8 threads (the digest the CI thread-matrix gate compares).
-#[test]
-fn compile_corpus_digest_is_thread_invariant() {
-    let (graphs_1, completed_1, digest_1) = compile_corpus(1);
-    assert_eq!(graphs_1, 12);
-    assert_eq!(completed_1, 24, "12 graphs on each of two sinks");
-    for threads in [2, 8] {
-        let (graphs, completed, digest) = compile_corpus(threads);
-        assert_eq!(graphs, graphs_1);
-        assert_eq!(completed, completed_1);
-        assert_eq!(digest, digest_1, "digest diverged at {threads} threads");
-    }
 }
 
 /// A defect plan dense enough to exclude every placement yields the

@@ -8,9 +8,9 @@
 //! 1. **never panic or hang** — every run drains inside a bounded tick
 //!    budget (the `run_trace` Hung guard is itself exercised);
 //! 2. **never silently lose a job** — the conservation ledger balances
-//!    exactly: every arrival is accepted, shed, rejected, given up, or
-//!    still in flight, and every accepted job completes, fails typed,
-//!    or is lost typed;
+//!    exactly after every tick: every arrival is accepted, shed,
+//!    rejected, given up, or still in flight, and every accepted job
+//!    completes, fails typed, or is lost typed;
 //! 3. **bit-identical per seed** — the same seed and profile replay the
 //!    exact same ledger, event logs, and telemetry at 1, 2, and 8
 //!    threads.
@@ -19,14 +19,14 @@ use vlsi_processor::core::VlsiChip;
 use vlsi_processor::fabric::{Cluster as ChipCluster, ClusterConfig, ClusterTopology};
 use vlsi_processor::faults::{Fault, FaultKind, FaultPlan};
 use vlsi_processor::ingest::{
-    accounting, run_trace, AccountingReport, AdmissionConfig, ClientConfig, IngestClient,
-    IngestConfig, IngestError, IngestService,
+    accounting, run_trace, spec_for_arrival, AccountingReport, AdmissionConfig, ClientConfig,
+    IngestClient, IngestConfig, IngestError, IngestService,
 };
 use vlsi_processor::par::Pool;
 use vlsi_processor::runtime::{Fifo, Runtime, RuntimeConfig};
 use vlsi_processor::telemetry::TelemetryHandle;
 use vlsi_processor::topology::Cluster;
-use vlsi_processor::workloads::{arrival_trace, ArrivalProfile};
+use vlsi_processor::workloads::{arrival_trace, ArrivalEvent, ArrivalProfile};
 
 const SEEDS: [u64; 3] = [11, 4242, 987_654_321];
 
@@ -95,6 +95,36 @@ fn client_for(
     )
 }
 
+/// `run_trace`'s loop, stepped here so the ledger is checked after every
+/// tick: both conservation equations hold at any instant, not only once
+/// the run has drained. Keeps `run_trace`'s 200 000-tick bound and
+/// returns the ticks simulated.
+fn run_checking_ledger(
+    service: &mut IngestService<ChipCluster>,
+    client: &mut IngestClient,
+    trace: &[ArrivalEvent],
+    label: &str,
+) -> u64 {
+    let (mut next, mut ticks) = (0usize, 0u64);
+    while next < trace.len() || client.has_pending() || !service.is_idle() {
+        assert!(ticks < 200_000, "{label}: the run must drain");
+        let t = service.now() + 1;
+        client.tick(t);
+        while next < trace.len() && trace[next].at <= t {
+            client.submit(t, trace[next].tenant, spec_for_arrival(&trace[next]));
+            next += 1;
+        }
+        service.tick().expect("service tick");
+        ticks += 1;
+        let ledger = accounting(service, client);
+        assert!(
+            ledger.is_balanced(),
+            "{label} tick {ticks}: unbalanced ledger {ledger:?}"
+        );
+    }
+    ticks
+}
+
 /// One full chaos run; returns the ledger plus a replay digest over the
 /// ledger, merged events, and both telemetry exports.
 fn chaos_run(seed: u64, profile: ArrivalProfile, threads: usize) -> (AccountingReport, String) {
@@ -105,17 +135,12 @@ fn chaos_run(seed: u64, profile: ArrivalProfile, threads: usize) -> (AccountingR
     let mut client = client_for(&service, seed, &telemetry);
     let trace = arrival_trace(seed, profile, 150, 5);
     let arrivals = trace.len() as u64;
-    let ticks =
-        run_trace(&mut service, &mut client, &trace, 200_000).expect("chaos run must drain");
+    let label = format!("seed {seed} {}", profile.label());
+    let ticks = run_checking_ledger(&mut service, &mut client, &trace, &label);
     assert!(ticks >= 150, "the trace horizon was simulated");
 
     let ledger = accounting(&service, &client);
     assert_eq!(ledger.arrivals, arrivals, "every trace event was delivered");
-    assert!(
-        ledger.is_balanced(),
-        "seed {seed} {}: unbalanced ledger {ledger:?}",
-        profile.label()
-    );
     assert_eq!(ledger.in_ring, 0, "drained runs end with an empty ring");
     assert_eq!(ledger.in_retry, 0, "no retry may be stranded");
     assert_eq!(ledger.sink_outstanding, 0, "the sink drained");
@@ -215,9 +240,8 @@ fn zero_burst_tenant_admits_nothing_and_ledger_balances() {
     );
     let mut client = client_for(&service, 21, &TelemetryHandle::disabled());
     let trace = arrival_trace(21, ArrivalProfile::Sustained { rate_milli: 900 }, 120, 4);
-    run_trace(&mut service, &mut client, &trace, 200_000).expect("still drains");
+    run_checking_ledger(&mut service, &mut client, &trace, "zero burst");
     let ledger = accounting(&service, &client);
-    assert!(ledger.is_balanced(), "unbalanced: {ledger:?}");
     assert_eq!(ledger.stats.accepted, 0, "zero burst admits nothing");
     assert_eq!(ledger.completed, 0, "nothing admitted, nothing runs");
     assert!(
@@ -267,9 +291,8 @@ fn all_chips_down_rejects_typed_rather_than_panicking() {
     let mut service = IngestService::new(cluster, IngestConfig::default());
     let mut client = client_for(&service, 3, &TelemetryHandle::disabled());
     let trace = arrival_trace(3, ArrivalProfile::Sustained { rate_milli: 700 }, 60, 3);
-    run_trace(&mut service, &mut client, &trace, 200_000).expect("still drains");
+    run_checking_ledger(&mut service, &mut client, &trace, "all chips down");
     let ledger = accounting(&service, &client);
-    assert!(ledger.is_balanced(), "unbalanced: {ledger:?}");
     assert!(
         ledger.stats.rejected_sink > 0,
         "dead cluster rejects typed: {ledger:?}"

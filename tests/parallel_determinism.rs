@@ -10,7 +10,13 @@
 //! digest tests hold every hot-path workload to one literal text, which
 //! also catches drift across processes and commits.
 
-use vlsi_bench::hotpath::{cluster_4x, digest, fleet_mix, noc_storm};
+#[path = "support/hotpath.rs"]
+mod hotpath;
+
+use hotpath::{
+    chaos_mix, cluster_4x, compile_corpus, digest, fleet_mix, gather_release_churn, noc_storm,
+    sched_acceptance, soa_sweep, staged_pipeline, ACCEPT_JOBS,
+};
 use vlsi_processor::noc::NocNetwork;
 use vlsi_processor::par::Pool;
 use vlsi_processor::prng::Prng;
@@ -269,5 +275,78 @@ fn cluster_chaos_run_is_bit_identical_across_thread_counts() {
     assert!(serial.1 > 0, "migration must ride the fabric");
     for threads in THREADS {
         assert_eq!(cluster_4x(threads), serial, "{threads} threads");
+    }
+}
+
+/// The compile workload — the full corpus compiled and executed on
+/// fleet and cluster sinks — produces one byte pattern at 1, 2, and 8
+/// threads (the `compile_corpus_12` lines of the pinned digest).
+#[test]
+fn compile_corpus_digest_is_thread_invariant() {
+    let (graphs_1, completed_1, digest_1) = compile_corpus(1);
+    assert_eq!(graphs_1, 12);
+    assert_eq!(completed_1, 24, "12 graphs on each of two sinks");
+    for threads in [2, 8] {
+        let (graphs, completed, digest) = compile_corpus(threads);
+        assert_eq!(graphs, graphs_1);
+        assert_eq!(completed, completed_1);
+        assert_eq!(digest, digest_1, "digest diverged at {threads} threads");
+    }
+}
+
+#[test]
+fn churn_is_deterministic_and_restores_the_die() {
+    assert_eq!(gather_release_churn(24), gather_release_churn(24));
+}
+
+#[test]
+fn acceptance_checksum_replays() {
+    let (a_sum, a_fnv) = sched_acceptance();
+    let (b_sum, b_fnv) = sched_acceptance();
+    assert_eq!(a_fnv, b_fnv, "event log must replay bit-identically");
+    assert_eq!(a_sum.makespan, b_sum.makespan);
+    assert_eq!(a_sum.completed + a_sum.failed, (ACCEPT_JOBS + 1) as u64);
+}
+
+#[test]
+fn chaos_mix_replays() {
+    let (a, a_fnv) = chaos_mix();
+    let (b, b_fnv) = chaos_mix();
+    assert_eq!(a_fnv, b_fnv);
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.completed + a.failed, 40);
+}
+
+#[test]
+fn staged_pipeline_digests_match_and_replay() {
+    // A small dataset count keeps the test quick; the full 32-set batch
+    // runs in the pinned digest.
+    let a = staged_pipeline(1, 4);
+    assert_eq!(a.graphs, 12);
+    assert_eq!(
+        a.digest_seq, a.digest_pipe,
+        "pipelined outputs must reproduce the sequential walk bit for bit"
+    );
+    for threads in [2usize, 8] {
+        let b = staged_pipeline(threads, 4);
+        assert_eq!(
+            a.digest_pipe, b.digest_pipe,
+            "identical at {threads} threads"
+        );
+        assert_eq!(b.digest_seq, b.digest_pipe);
+    }
+}
+
+#[test]
+fn soa_sweep_replays_at_every_thread_count() {
+    // A small instance keeps the test quick; the full 1024-lane region
+    // runs in the pinned digest.
+    let a = soa_sweep(1, 16, 8);
+    for threads in [1usize, 2, 8] {
+        assert_eq!(
+            a,
+            soa_sweep(threads, 16, 8),
+            "identical at {threads} threads"
+        );
     }
 }

@@ -321,14 +321,12 @@ fn a_cached_no_op_compaction_still_logs_its_event() {
     );
     assert_eq!(rt.stats().compactions, 4);
     let snap = rt.telemetry().snapshot();
-    if rt.telemetry().is_enabled() {
-        assert_eq!(snap.counter("core.compactions"), 4);
-        assert_eq!(
-            snap.counter("core.relocations"),
-            0,
-            "nothing moved, so nothing was re-programmed"
-        );
-    }
+    assert_eq!(snap.counter("core.compactions"), 4);
+    assert_eq!(
+        snap.counter("core.relocations"),
+        0,
+        "nothing moved, so nothing was re-programmed"
+    );
 }
 
 /// `core.relocations` counts processors that actually moved: every one
@@ -340,9 +338,6 @@ fn relocations_in_the_acceptance_run_are_all_moves() {
     for policy in policies() {
         let name = policy.name();
         let rt = acceptance_run(policy);
-        if !rt.telemetry().is_enabled() {
-            return; // built with telemetry compiled out
-        }
         let moved: u64 = rt
             .events()
             .iter()
@@ -375,9 +370,6 @@ fn gathers_in_a_contended_staged_run_are_all_used() {
         let name = policy.name();
         let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
         let mut rt = Runtime::new(chip, policy, RuntimeConfig::default());
-        if !rt.telemetry().is_enabled() {
-            return; // built with telemetry compiled out
-        }
         // Four-cluster stages, several per job, far more than 64 clusters
         // in all.
         let mut rng = vlsi_processor::prng::Prng::seed_from_u64(SEED);

@@ -6,21 +6,36 @@ use vlsi_processor::topology::{Cluster, Coord, Region};
 
 #[test]
 fn configuration_latency_grows_with_region_size() {
-    // Ablation C's hypothesis, as a coarse monotonicity check: gathering
-    // a bigger region takes more worms, more switch stores, and a longer
-    // maximum worm latency.
+    // Ablation C: gathering a bigger region takes more worms, more switch
+    // stores, and a maximum worm latency that never falls.
     let mut last = (0usize, 0u64, 0u64);
-    for side in [1u16, 2, 4, 6] {
+    for side in [1u16, 2, 3, 4, 6, 8] {
         let mut chip = VlsiChip::new(8, 8, Cluster::default());
         let out = chip
             .gather(Region::rect(Coord::new(0, 0), side, side))
             .unwrap();
         let cur = (out.worms, out.switch_stores, out.config_latency);
+        println!(
+            "{side}x{side}: worms {}, switch stores {}, latency {}",
+            cur.0, cur.1, cur.2
+        );
         assert!(cur.0 > last.0);
         assert!(cur.1 > last.1);
         assert!(cur.2 >= last.2);
         last = cur;
     }
+
+    // Closing a 4x2 fold into a ring costs nothing extra: the same switch
+    // stores and the same configuration latency as the open fold.
+    let region = Region::rect(Coord::new(0, 0), 4, 2);
+    let open = VlsiChip::new(8, 8, Cluster::default())
+        .gather(region.clone())
+        .unwrap();
+    let ring = VlsiChip::new(8, 8, Cluster::default())
+        .gather_ring(region)
+        .unwrap();
+    assert_eq!(ring.switch_stores, open.switch_stores);
+    assert_eq!(ring.config_latency, open.config_latency);
 }
 
 #[test]
