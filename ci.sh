@@ -20,13 +20,14 @@ echo "== cargo test -q"
 # x 3 arrival profiles x chip-down storm).
 cargo test -q --workspace --offline
 
-echo "== property tests, --release (placement: the only guard on relocate's early return; the gather plan vs sequential gather_any, a refused deploy leaves no trace, a failed commit releases everything; block programs vs the interpreter; the mask engine vs the Option-latch reference; the slot-table stream optimizer vs the HashMap reference; sequential-fill partition vs the scored reference)"
+echo "== property tests, --release (placement: the only guard on relocate's early return; the gather plan vs sequential gather_any, a refused deploy leaves no trace, a failed commit releases everything; block programs vs the interpreter; stream programs vs the single-AP run; the mask engine vs the Option-latch reference; the slot-table stream optimizer vs the HashMap reference; sequential-fill partition vs the scored reference)"
 cargo test -q --offline --release -p vlsi-core -p vlsi-ap -p vlsi-workloads -p vlsi-compile --lib --test properties -- \
   relocation_matches_the_always_reprogram_reference free_space_cache_matches_a_fresh_finder \
   plan_matches_sequential_gather_any a_refused_deploy_leaves_no_trace \
   a_failed_commit_releases_every_gathered_region \
   structured_programs_match_the_interpreter mask_engine_matches_the_option_latch_reference \
-  slot_tables_match_the_hashmap_reference matches_the_scored_reference_on_generated_graphs
+  slot_tables_match_the_hashmap_reference matches_the_scored_reference_on_generated_graphs \
+  stream_programs_match_the_single_ap_run
 
 echo "== core.relocations vs moved (acceptance run: every relocation is a move)"
 # A chip that re-programs processors where they stand counts more

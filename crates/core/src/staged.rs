@@ -14,7 +14,9 @@
 //!   the Figure 7(b) basic blocks — to stages carrying a **guard**: a
 //!   branching block publishes its condition as an ordinary value, each
 //!   arm runs only for datasets whose condition selects it, and the
-//!   other arm's processor stays dark.
+//!   other arm's processor stays dark;
+//! * [`StagedProgram::from_stream`] lowers a §2.7 streaming kernel to a
+//!   one-stage program whose dataset is one window of input words.
 //!
 //! Per stage the artifact holds the logical objects, the configuration
 //! stream, the live-in mailbox bindings, and the live-out probe taps.
@@ -34,6 +36,7 @@ use vlsi_object::{
 };
 use vlsi_topology::{Region, TopologyError};
 use vlsi_workloads::program::{BasicBlock, BlockDatapath, Terminator};
+use vlsi_workloads::StreamKernel;
 
 /// One stage: a partition of the program, lowered to objects + stream,
 /// with its mailbox and probe contracts.
@@ -52,8 +55,11 @@ pub struct StagedStage {
     pub stream: Arc<GlobalConfigStream>,
     /// Live-in value name → mailbox memory-block index (the CSD channel
     /// the predecessor writes into while this stage is inactive).
+    /// Live-ins bound to the same block fill consecutive addresses from
+    /// 0, in binding order — a window, as a stream's load reads it.
     pub inputs: Vec<(String, usize)>,
-    /// Live-out value name → probe (tap) object.
+    /// Live-out value name → probe (tap) object. Outputs bound to the
+    /// same probe read its consecutive tap values, in binding order.
     pub outputs: Vec<(String, ObjectId)>,
     /// `(value, flag)`: the stage runs for a dataset iff `value` is
     /// *present* in that dataset's environment and its truth (non-zero)
@@ -155,6 +161,38 @@ impl StagedProgram {
                 .iter()
                 .map(|v| (v.to_string(), v.to_string()))
                 .collect(),
+        }
+    }
+
+    /// Lowers a streaming kernel to a one-stage program on `clusters`
+    /// clusters whose one dataset is one window of `kernel.input_len`
+    /// words. The stage keeps the kernel's `Load`/`Store` stream objects
+    /// (§2.7), so the results still land in memory block 1, and adds one
+    /// `Pass` probe on the store's source. Input word *i* is the live-in
+    /// `x{i}` on mailbox block 0, the load stream's; output *i* is `y{i}`,
+    /// the probe's *i*-th tap value.
+    pub fn from_stream(kernel: &StreamKernel, clusters: usize) -> StagedProgram {
+        let probe = ObjectId(kernel.objects.iter().map(|o| o.id.0).max().unwrap_or(0) + 1);
+        let pass = LogicalObject::compute(probe, LocalConfig::op(Operation::Pass));
+        let mut elements = kernel.stream.elements().to_vec();
+        let stored = elements.iter().find(|e| e.sink == StreamKernel::STORE_ID);
+        let tapped = stored.and_then(|e| e.src_rhs);
+        elements.extend(tapped.map(|src| GlobalConfigElement::unary(probe, src)));
+        let names = |prefix: &'static str, n: u64| (0..n).map(move |i| format!("{prefix}{i}"));
+        StagedProgram {
+            name: kernel.name.to_string(),
+            outputs: names("y", kernel.output_len)
+                .map(|y| (y.clone(), y))
+                .collect(),
+            stages: vec![StagedStage {
+                name: kernel.name.to_string(),
+                clusters,
+                objects: kernel.objects.iter().cloned().chain([pass]).collect(),
+                stream: Arc::new(elements.into_iter().collect()),
+                inputs: names("x", kernel.input_len).map(|x| (x, 0)).collect(),
+                outputs: names("y", kernel.output_len).map(|y| (y, probe)).collect(),
+                guard: None,
+            }],
         }
     }
 
@@ -350,6 +388,27 @@ pub struct StagedExecutor<P = StagedProgram> {
     /// The program's dependency levels (see [`StagedProgram::levels`]),
     /// worked out once at deploy: every run walks the same wavefront.
     levels: Vec<Vec<usize>>,
+    /// Per stage, the mailbox address of each live-in and the tap value
+    /// each output reads (the window rule of [`StagedStage::inputs`] and
+    /// [`StagedStage::outputs`]), also worked out once at deploy.
+    windows: Vec<(Vec<u64>, Vec<u64>)>,
+    /// Tap values a sweep collects per probe: the most outputs any one
+    /// probe must yield (at least 1).
+    tap_limit: u64,
+}
+
+/// How [`StagedExecutor::deploy`] and [`StagedExecutor::deploy_placed`]
+/// acquire a stage's processor: a gather of its region.
+fn gather(chip: &mut VlsiChip, region: Region) -> Result<ProcessorId, CoreError> {
+    chip.gather(region).map(|g| g.id)
+}
+
+/// Each binding's position among the earlier bindings of its stage to
+/// the same block or probe.
+fn window_offsets<K: PartialEq>(bindings: &[(String, K)]) -> Vec<u64> {
+    let earlier = |i: usize, k: &K| bindings[..i].iter().filter(|(_, e)| e == k).count();
+    let offsets = bindings.iter().enumerate().map(|(i, (_, k))| earlier(i, k));
+    offsets.map(|n| n as u64).collect()
 }
 
 impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
@@ -364,7 +423,7 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         let regions = chip
             .plan_gathers(&sizes)
             .ok_or(CoreError::Topology(TopologyError::NoLinearPath))?;
-        Self::commit(chip, program, regions)
+        Self::commit(chip, program, regions.into_iter(), gather)
     }
 
     /// Deploys `program` onto the exact `regions` the placement pass
@@ -376,32 +435,47 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         program: P,
         regions: &[Region],
     ) -> Result<StagedExecutor<P>, CoreError> {
-        let stages = program.borrow().stages.len();
-        if regions.len() != stages {
-            return Err(CoreError::PlacementMismatch {
-                stages,
-                regions: regions.len(),
-            });
-        }
-        Self::commit(chip, program, regions.iter().cloned())
+        Self::commit(chip, program, regions.iter().cloned(), gather)
     }
 
-    /// Gathers one region per stage and installs the stage's objects on
-    /// it. On failure, every processor gathered so far is released — the
-    /// chip's occupancy is left as found.
-    fn commit(
+    /// Deploys `program` on processors the caller already holds — one
+    /// per stage, in stage order, each inactive with an empty library,
+    /// such as a warm region a pool hands back instead of a gather. Any
+    /// other count is refused before anything is installed. If an
+    /// install fails, every processor taken so far is released.
+    pub fn deploy_on(
         chip: &mut VlsiChip,
         program: P,
-        regions: impl IntoIterator<Item = Region>,
+        procs: &[ProcessorId],
+    ) -> Result<StagedExecutor<P>, CoreError> {
+        Self::commit(chip, program, procs.iter().copied(), |_, id| Ok(id))
+    }
+
+    /// Takes one processor per stage from `acquire`, fed that stage's
+    /// entry of `sources` (one per stage — any other count is refused
+    /// before anything is acquired), installs the stage's objects on it,
+    /// and resolves the levels and windows every run walks. If a step
+    /// fails, every processor acquired so far is released.
+    fn commit<T>(
+        chip: &mut VlsiChip,
+        program: P,
+        sources: impl ExactSizeIterator<Item = T>,
+        mut acquire: impl FnMut(&mut VlsiChip, T) -> Result<ProcessorId, CoreError>,
     ) -> Result<StagedExecutor<P>, CoreError> {
         let stages = &program.borrow().stages;
+        if sources.len() != stages.len() {
+            return Err(CoreError::PlacementMismatch {
+                stages: stages.len(),
+                regions: sources.len(),
+            });
+        }
         let mut procs = Vec::with_capacity(stages.len());
-        for (stage, region) in stages.iter().zip(regions) {
+        for (stage, source) in stages.iter().zip(sources) {
             // Recorded before `install`, so a refused install releases
             // its own region with the rest.
-            let step = chip.gather(region).and_then(|gathered| {
-                procs.push(gathered.id);
-                chip.install(gathered.id, stage.objects.clone())
+            let step = acquire(chip, source).and_then(|id| {
+                procs.push(id);
+                chip.install(id, stage.objects.clone())
             });
             if let Err(e) = step {
                 for id in procs {
@@ -411,10 +485,17 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
             }
         }
         let levels = program.borrow().levels();
+        let windows: Vec<_> = (stages.iter())
+            .map(|s| (window_offsets(&s.inputs), window_offsets(&s.outputs)))
+            .collect();
+        let taps = windows.iter().flat_map(|(_, taps)| taps);
+        let tap_limit = taps.max().map_or(1, |i| i + 1);
         Ok(StagedExecutor {
             program,
             procs,
             levels,
+            windows,
+            tap_limit,
         })
     }
 
@@ -518,10 +599,10 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         /// One stage's contracts with its names resolved to slots.
         struct StageSlots {
             guard: Option<(usize, bool)>,
-            /// `(slot, mailbox memory block)`.
-            inputs: Vec<(usize, usize)>,
-            /// `(slot, probe object)`.
-            outputs: Vec<(usize, ObjectId)>,
+            /// `(slot, mailbox memory block, address)`.
+            inputs: Vec<(usize, usize, u64)>,
+            /// `(slot, probe object, tap value index)`.
+            outputs: Vec<(usize, ObjectId, u64)>,
         }
         /// The slot of `name`, handed out in order of first mention.
         fn slot_of<'a>(
@@ -540,10 +621,15 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
         let mut slot = |name| slot_of(name, &mut names, &mut index);
         let plan: Vec<StageSlots> = stages
             .iter()
-            .map(|stage| StageSlots {
+            .zip(&self.windows)
+            .map(|(stage, (addrs, taps))| StageSlots {
                 guard: stage.guard.as_ref().map(|(v, flag)| (slot(v), *flag)),
-                inputs: stage.inputs.iter().map(|(v, b)| (slot(v), *b)).collect(),
-                outputs: stage.outputs.iter().map(|(v, t)| (slot(v), *t)).collect(),
+                inputs: (stage.inputs.iter().zip(addrs))
+                    .map(|((v, b), &a)| (slot(v), *b, a))
+                    .collect(),
+                outputs: (stage.outputs.iter().zip(taps))
+                    .map(|((v, t), &i)| (slot(v), *t, i))
+                    .collect(),
             })
             .collect();
         let out_slots: Vec<usize> = program.outputs.iter().map(|(_, v)| slot(v)).collect();
@@ -595,9 +681,9 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
                         }
                     }
                     let proc = self.procs[j];
-                    for &(s, mem_block) in &plan[j].inputs {
+                    for &(s, mem_block, addr) in &plan[j].inputs {
                         let v = row[s].unwrap_or(0);
-                        chip.write_mailbox(proc, mem_block, 0, &[Word::from_i64(v)])?;
+                        chip.write_mailbox(proc, mem_block, addr, &[Word::from_i64(v)])?;
                         stats.mailbox_writes += 1;
                     }
                     chip.activate(proc)?;
@@ -611,16 +697,16 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
             }
             ids.clear();
             ids.extend(active.iter().map(|&(j, _)| self.procs[j]));
-            let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
+            let reports = chip.execute_batch(&ids, self.tap_limit, 1_000_000)?;
             for (&(j, d), report) in active.iter().zip(&reports) {
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
                 busy_ticks[j] += 1;
-                for &(s, tap) in &plan[j].outputs {
+                for &(s, tap, i) in &plan[j].outputs {
                     let word = report
                         .taps
                         .get(&tap)
-                        .and_then(|v| v.first())
+                        .and_then(|v| v.get(i as usize))
                         .ok_or_else(|| CoreError::MissingOutput {
                             stage: stages[j].name.clone(),
                             value: names[s].to_string(),

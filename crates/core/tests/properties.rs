@@ -3,7 +3,10 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use vlsi_core::{CoreError, ProcState, StagedExecutor, StagedProgram, VlsiChip};
+use vlsi_object::{ObjectLibrary, Word};
+use vlsi_prng::Prng;
 use vlsi_topology::{Cluster, Coord, Region};
+use vlsi_workloads::jobmix;
 use vlsi_workloads::program::{BinOp, Expr, Program, Stmt};
 
 fn chip() -> VlsiChip {
@@ -114,6 +117,52 @@ proptest! {
                 .count() as u64;
         }
         prop_assert_eq!(stats.stages_executed, activations, "{:?}", p);
+        exec.release(&mut c).unwrap();
+        prop_assert_eq!(c.free_clusters(), 64);
+    }
+
+    /// Generated stream cases (`jobmix::stream_case`: all five kernels,
+    /// windows of 4–24 words) lowered to one-stage programs on 4, 6 or 8
+    /// clusters agree with the single-AP run the lowering replaced —
+    /// install, mailbox write, configure, execute, readback:
+    /// deploy + `run_pipelined` returns the kernel reference, block 1
+    /// holds the same words, and configuration costs exactly the
+    /// reference's plus the probe's.
+    #[test]
+    fn stream_programs_match_the_single_ap_run(
+        seed in any::<u64>(),
+        clusters in prop::sample::select(vec![4usize, 6, 8]),
+    ) {
+        let case = jobmix::stream_case(&mut Prng::seed_from_u64(seed));
+        let (kernel, len) = (&case.kernel, case.input.len());
+
+        let mut c = chip();
+        let pid = c.gather_any(clusters).unwrap().id;
+        c.install(pid, kernel.objects.clone()).unwrap();
+        let words: Vec<Word> = case.input.iter().map(|&x| Word(x)).collect();
+        c.write_mailbox(pid, 0, 0, &words).unwrap();
+        c.activate(pid).unwrap();
+        let reference = c.configure(pid, kernel.stream.clone()).unwrap();
+        c.execute(pid, 0, 1_000_000).unwrap();
+        c.deactivate(pid).unwrap();
+        let stored = c.read_mailbox(pid, 1, 0, len).unwrap();
+
+        let mut c = chip();
+        let exec = StagedExecutor::deploy(&mut c, StagedProgram::from_stream(kernel, clusters))
+            .unwrap();
+        let dataset: HashMap<String, i64> = (case.input.iter().enumerate())
+            .map(|(i, &x)| (format!("x{i}"), x as i64))
+            .collect();
+        let (got, stats) = exec.run_pipelined(&mut c, &[dataset]).unwrap();
+        let expect: Vec<i64> = case.expected.iter().map(|&y| y as i64).collect();
+        prop_assert_eq!(got, vec![expect], "{} over {:?}", kernel.name, case.input);
+        let pid = exec.processors()[0];
+        prop_assert_eq!(c.read_mailbox(pid, 1, 0, len).unwrap(), stored, "{}", kernel.name);
+        // The probe is one more element through the configuration
+        // pipeline, one more object miss (a stack shift plus one library
+        // load) and one more chain handshake.
+        let probe = 1 + 1 + u64::from(ObjectLibrary::LOAD_LATENCY) + 3;
+        prop_assert_eq!(stats.config_cycles, reference.cycles + probe, "{}", kernel.name);
         exec.release(&mut c).unwrap();
         prop_assert_eq!(c.free_clusters(), 64);
     }

@@ -40,9 +40,6 @@ pub enum RuntimeError {
         job: JobId,
         /// What went wrong.
         detail: WorkloadDetail,
-        /// The chip-layer error behind it, when there is one (also
-        /// [`std::error::Error::source`]).
-        source: Option<CoreError>,
     },
     /// No such job.
     UnknownJob(JobId),
@@ -58,7 +55,7 @@ pub enum RuntimeError {
 }
 
 /// What a [`RuntimeError::Workload`] reports.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum WorkloadDetail {
     /// A staged job ran, and one dataset's outputs differ from the
     /// reference the front end handed down.
@@ -70,9 +67,11 @@ pub enum WorkloadDetail {
         /// What the reference says.
         expected: Vec<i64>,
     },
-    /// Anything else, as text (a bad request, or the chip-layer cause's
-    /// message).
-    Text(String),
+    /// The job requests zero clusters.
+    ZeroClusters,
+    /// The chip refused to run the workload; the cause is also the
+    /// error's [`std::error::Error::source`].
+    Chip(CoreError),
 }
 
 impl fmt::Display for WorkloadDetail {
@@ -86,7 +85,8 @@ impl fmt::Display for WorkloadDetail {
                 f,
                 "staged dataset {dataset}: output {got:?}, reference says {expected:?}"
             ),
-            WorkloadDetail::Text(text) => f.write_str(text),
+            WorkloadDetail::ZeroClusters => f.write_str("job requests zero clusters"),
+            WorkloadDetail::Chip(cause) => write!(f, "{cause}"),
         }
     }
 }
@@ -127,7 +127,8 @@ impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RuntimeError::Workload {
-                source: Some(e), ..
+                detail: WorkloadDetail::Chip(e),
+                ..
             }
             | RuntimeError::Core(e) => Some(e),
             _ => None,
@@ -142,16 +143,6 @@ impl From<CoreError> for RuntimeError {
 }
 
 impl RuntimeError {
-    /// A workload failure with no lower-layer cause (bad request,
-    /// reference mismatch).
-    pub(crate) fn workload(job: JobId, detail: String) -> RuntimeError {
-        RuntimeError::Workload {
-            job,
-            detail: WorkloadDetail::Text(detail),
-            source: None,
-        }
-    }
-
     /// Dataset `dataset` of staged job `job` came out as `got` where the
     /// reference says `expected`.
     pub(crate) fn staged_mismatch(
@@ -167,17 +158,14 @@ impl RuntimeError {
                 got: got.to_vec(),
                 expected: expected.to_vec(),
             },
-            source: None,
         }
     }
 
-    /// A workload failure caused by a chip-layer error: the text is the
-    /// cause's, and the cause itself rides along typed.
+    /// A workload failure caused by a chip-layer error, carried typed.
     pub(crate) fn workload_from(job: JobId, cause: CoreError) -> RuntimeError {
         RuntimeError::Workload {
             job,
-            detail: WorkloadDetail::Text(cause.to_string()),
-            source: Some(cause),
+            detail: WorkloadDetail::Chip(cause),
         }
     }
 
@@ -211,10 +199,24 @@ mod tests {
         assert_eq!(err.reason(), "workload");
         let source = err.source().expect("a chip cause is a source");
         assert_eq!(source.downcast_ref::<CoreError>(), Some(&cause));
-        // A reference mismatch has no lower-layer cause.
-        let plain = RuntimeError::workload(JobId(3), "output mismatch".into());
-        assert!(plain.source().is_none());
-        assert_eq!(plain.reason(), "workload");
+        assert!(matches!(
+            err,
+            RuntimeError::Workload {
+                detail: WorkloadDetail::Chip(CoreError::CannotFuse),
+                ..
+            }
+        ));
+        // A refused request has no lower-layer cause.
+        let zero = RuntimeError::Workload {
+            job: JobId(3),
+            detail: WorkloadDetail::ZeroClusters,
+        };
+        assert_eq!(
+            zero.to_string(),
+            "job3: workload error: job requests zero clusters"
+        );
+        assert!(zero.source().is_none());
+        assert_eq!(zero.reason(), "workload");
         // A failed reference check carries its numbers typed, under the
         // same variant, label and text as when it was a formatted string.
         let wrong = RuntimeError::staged_mismatch(JobId(3), 2, &[6, -1], &[999, -1]);

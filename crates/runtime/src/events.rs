@@ -105,8 +105,6 @@ pub enum EventKind {
         job: JobId,
         /// The relocated processor.
         proc: ProcessorId,
-        /// Whether the workload had to be re-executed (it was mid-run).
-        reran: bool,
     },
     /// A defect recovery could not relocate in place; the job went back
     /// to the queue for a fresh gather.

@@ -19,20 +19,10 @@ impl fmt::Display for JobId {
 /// The work a job performs once its clusters are gathered.
 #[derive(Clone, Debug)]
 pub enum Workload {
-    /// A streaming kernel: `input` is written to the processor's load
-    /// mailbox (block 0); results are read back from the store mailbox
-    /// (block 1) at completion and checked against `expected` when given.
-    Stream {
-        /// The kernel to install and execute.
-        kernel: StreamKernel,
-        /// Input elements for block 0.
-        input: Vec<u64>,
-        /// Reference output; a mismatch fails the job.
-        expected: Option<Vec<u64>>,
-    },
-    /// A staged program — compiler-emitted dataflow stages (vlsi-compile)
-    /// or a basic-block program lowered to guarded stages
-    /// ([`JobSpec::for_blocks`]): stages deployed one processor each,
+    /// A staged program — compiler-emitted dataflow stages (vlsi-compile),
+    /// a basic-block program lowered to guarded stages
+    /// ([`JobSpec::for_blocks`]) or a streaming kernel lowered to one
+    /// stage ([`JobSpec::for_stream`]): stages deployed one processor each,
     /// datasets pushed through them as one wavefront, live values passed
     /// by mailbox writes. The front end provides the reference outputs
     /// (one vector per dataset, in program-output order); a mismatch
@@ -42,8 +32,8 @@ pub enum Workload {
         program: StagedProgram,
         /// Input environments, one per dataset.
         datasets: Vec<HashMap<String, i64>>,
-        /// Reference outputs (netlist evaluator or IR interpreter), if
-        /// checking.
+        /// Reference outputs (netlist evaluator, IR interpreter or kernel
+        /// reference), if checking.
         expected: Option<Vec<Vec<i64>>>,
     },
     /// Pure occupancy: hold the gathered clusters for `ticks` simulated
@@ -58,7 +48,6 @@ impl Workload {
     /// A short label for traces.
     pub fn label(&self) -> &'static str {
         match self {
-            Workload::Stream { .. } => "stream",
             Workload::Staged { .. } => "staged",
             Workload::Idle { .. } => "idle",
         }
@@ -103,8 +92,11 @@ impl JobSpec {
         }
     }
 
-    /// A streaming job whose output is verified against the kernel's
-    /// reference result.
+    /// A streaming job on `clusters` clusters: the kernel lowered to a
+    /// one-stage program ([`StagedProgram::from_stream`]) whose one
+    /// dataset is `input`, verified against `expected`, the kernel's
+    /// reference result. Its output is that one dataset's words; words
+    /// travel as `i64` bit patterns, so the `as` casts lose nothing.
     pub fn for_stream(
         name: impl Into<String>,
         clusters: usize,
@@ -112,13 +104,17 @@ impl JobSpec {
         input: Vec<u64>,
         expected: Vec<u64>,
     ) -> JobSpec {
+        let dataset = (input.iter().enumerate())
+            .map(|(i, &x)| (format!("x{i}"), x as i64))
+            .collect();
+        let expected = expected.into_iter().map(|y| y as i64).collect();
         JobSpec::new(
             name,
             clusters,
-            Workload::Stream {
-                kernel,
-                input,
-                expected: Some(expected),
+            Workload::Staged {
+                program: StagedProgram::from_stream(&kernel, clusters),
+                datasets: vec![dataset],
+                expected: Some(vec![expected]),
             },
         )
     }
@@ -188,8 +184,6 @@ impl JobSpec {
 /// What a completed job produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobOutput {
-    /// Words read back from a stream job's store mailbox.
-    Stream(Vec<u64>),
     /// Per-dataset program-output vectors of a staged job.
     Staged(Vec<Vec<i64>>),
     /// Idle jobs produce nothing.
@@ -249,8 +243,8 @@ pub struct JobRecord {
     pub spec: Arc<JobSpec>,
     /// Current lifecycle state.
     pub state: JobState,
-    /// Processors currently held (one for stream/idle; one per stage for
-    /// staged jobs). Empty unless running.
+    /// Processors currently held (one per stage of a staged job, one for
+    /// an idle job). Empty unless running.
     pub procs: Vec<ProcessorId>,
     /// Output, once completed.
     pub output: Option<JobOutput>,

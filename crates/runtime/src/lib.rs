@@ -7,23 +7,24 @@
 //! deterministic, simulated-time loop:
 //!
 //! * **Jobs** ([`JobSpec`]) request a cluster count and carry a workload —
-//!   a streaming kernel, a partitioned basic-block program, or a pure
-//!   capacity reservation — plus a priority, an optional deadline, and a
-//!   retry budget.
+//!   a staged program (compiled netlist, partitioned basic-block program
+//!   or streaming kernel, all run by one executor) or a pure capacity
+//!   reservation — plus a priority, an optional deadline, and a retry
+//!   budget.
 //! * **Admission** checks the request against the chip's free clusters,
-//!   gathers via `gather_any`, retries with exponential backoff, and
+//!   plans one region per stage, retries with exponential backoff, and
 //!   compacts the die when fragmentation is what stands in the way.
 //! * **Policies** ([`SchedPolicy`]) decide ordering only: [`Fifo`],
-//!   [`Priority`], and [`SmallestFitBackfill`] ship; the ablation bench
-//!   compares them on the same job mix.
-//! * **Power**: completed regions park in a warm pool — asleep with a
-//!   wake timer — and matching admissions reuse them without paying the
-//!   configuration worms again.
+//!   [`Priority`], and [`SmallestFitBackfill`] ship; Ablation I
+//!   (`tests/ablations.rs`) compares them on the same job mix.
+//! * **Power**: completed single-region jobs park their region in a warm
+//!   pool — asleep with a wake timer — and a later idle or one-stage job
+//!   of exactly that size reuses it without paying the configuration
+//!   worms again.
 //! * **Robustness**: clusters marked defective mid-run are survived by
-//!   relocating the victim processor (restarting its stream if it was
-//!   mid-flight) or re-queueing the job for a fresh gather; deadline
-//!   misses and retry exhaustion fail gracefully with a typed
-//!   [`RuntimeError`] on the job record.
+//!   relocating the victim processor or re-queueing the job for a fresh
+//!   gather; deadline misses and retry exhaustion fail gracefully with a
+//!   typed [`RuntimeError`] on the job record.
 //!
 //! Every decision lands in an ordered [`RuntimeEvent`] log; identical
 //! submissions produce identical logs, which is what the integration

@@ -10,8 +10,9 @@ use vlsi_workloads::jobmix;
 
 use crate::job::{JobSpec, Workload};
 
-/// Builds `n` jobs from `seed`: ~60% verified streaming kernels, ~20%
-/// basic-block programs (as guarded staged jobs), ~20% idle capacity reservations. Priorities are
+/// Builds `n` jobs from `seed`: ~60% verified streaming kernels (as
+/// one-stage staged jobs), ~20% basic-block programs (as guarded staged
+/// jobs), ~20% idle capacity reservations. Priorities are
 /// uniform in `0..8`; roughly one job in six carries a deadline. The same
 /// `(seed, n)` always produces the same batch.
 pub fn mixed_jobs(seed: u64, n: usize) -> Vec<JobSpec> {
@@ -76,10 +77,10 @@ mod tests {
     #[test]
     fn the_mix_contains_every_tenant_shape() {
         let batch = mixed_jobs(42, 60);
-        for label in ["stream", "staged", "idle"] {
+        for prefix in ["stream-", "blocks-", "idle-"] {
             assert!(
-                batch.iter().any(|s| s.workload.label() == label),
-                "missing {label}"
+                batch.iter().any(|s| s.name.starts_with(prefix)),
+                "missing {prefix}"
             );
         }
         assert!(batch.iter().any(|s| s.deadline.is_some()));

@@ -16,12 +16,10 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use vlsi_core::{CoreError, ProcState, ProcessorId, StagedExecutor, StagedProgram, VlsiChip};
+use vlsi_core::{ProcState, ProcessorId, StagedExecutor, StagedProgram, VlsiChip};
 use vlsi_faults::{Fault, FaultKind, FaultPlan};
-use vlsi_object::Word;
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::Coord;
-use vlsi_workloads::StreamKernel;
 
 use crate::error::{RuntimeError, WorkloadDetail};
 use crate::events::{EventKind, RuntimeEvent};
@@ -42,15 +40,13 @@ pub struct RuntimeConfig {
     /// retries once before backing off.
     pub compact_threshold: f64,
     /// Warm pool: a completed single-processor job's region is parked
-    /// asleep for this many ticks instead of released; a matching later
-    /// admission reuses it without re-gathering (no configuration worms).
-    /// `None` disables the pool.
+    /// asleep for this many ticks instead of released; a later idle or
+    /// one-stage job of exactly that size reuses it without re-gathering
+    /// (no configuration worms). `None` disables the pool.
     pub pool_ttl: Option<u64>,
     /// Simulated chip cycles per runtime tick (a job holding its clusters
     /// for `c` cycles holds them for `max(1, c / cycles_per_tick)` ticks).
     pub cycles_per_tick: u64,
-    /// Cycle budget handed to [`VlsiChip::execute`] per kernel run.
-    pub max_exec_cycles: u64,
     /// Upper bound on the retained event log. The log is a ring buffer:
     /// once full, the *oldest* event is dropped per push and the
     /// `runtime.events_dropped` telemetry counter (and
@@ -67,7 +63,6 @@ impl Default for RuntimeConfig {
             compact_threshold: 0.35,
             pool_ttl: Some(32),
             cycles_per_tick: 64,
-            max_exec_cycles: 1_000_000,
             event_log_cap: 1 << 16,
         }
     }
@@ -223,7 +218,10 @@ impl Runtime {
         if clusters == 0 {
             self.fail_job(
                 id,
-                RuntimeError::workload(id, "job requests zero clusters".into()),
+                RuntimeError::Workload {
+                    job: id,
+                    detail: WorkloadDetail::ZeroClusters,
+                },
             );
         } else if clusters > capacity {
             self.fail_job(
@@ -452,89 +450,29 @@ impl Runtime {
         self.recover_job(job_id, pid)
     }
 
-    /// A defect hit processor `pid` of running job `job_id`: relocate it
-    /// (state moves intact); a mid-run stream is restarted on the new
-    /// region; if no placement exists, the job re-queues for a fresh
-    /// gather.
+    /// A defect hit processor `pid` of running job `job_id`: relocate it,
+    /// state intact (an idle tenant's protections are lifted for the move
+    /// and set again after; stage processors idle Inactive); if no
+    /// placement exists, the job re-queues for a fresh gather.
     fn recover_job(&mut self, job_id: JobId, pid: ProcessorId) -> Result<(), RuntimeError> {
-        let spec = Arc::clone(&self.jobs[&job_id].spec);
-        match &spec.workload {
-            Workload::Stream { kernel, input, .. } => {
-                self.chip.deactivate(pid)?;
-                match self.chip.relocate(pid) {
-                    Ok(outcome) => {
-                        // The datapath was mid-stream; restart it from
-                        // scratch on the relocated region.
-                        self.chip.recycle_processor(pid)?;
-                        match self.run_stream_on(pid, kernel, input) {
-                            Ok((cfg, exec)) => {
-                                let dur = self.to_ticks(outcome.config_latency + cfg + exec);
-                                let rec = self.jobs.get_mut(&job_id).expect("running job");
-                                rec.finish_at = self.now + dur;
-                                rec.stats.relocations += 1;
-                                self.stats.relocations += 1;
-                                self.push_event(EventKind::DefectRecovered {
-                                    job: job_id,
-                                    proc: pid,
-                                    reran: true,
-                                });
-                            }
-                            Err(e) => {
-                                self.fail_job(
-                                    job_id,
-                                    RuntimeError::Workload {
-                                        job: job_id,
-                                        detail: WorkloadDetail::Text(format!(
-                                            "restart after defect: {e}"
-                                        )),
-                                        source: Some(e),
-                                    },
-                                );
-                            }
-                        }
-                        Ok(())
-                    }
-                    Err(_) => self.requeue_job(job_id),
-                }
-            }
-            Workload::Idle { .. } => {
-                self.chip.deactivate(pid)?;
-                match self.chip.relocate(pid) {
-                    Ok(_) => {
-                        self.chip.activate(pid)?;
-                        let rec = self.jobs.get_mut(&job_id).expect("running job");
-                        rec.stats.relocations += 1;
-                        self.stats.relocations += 1;
-                        self.push_event(EventKind::DefectRecovered {
-                            job: job_id,
-                            proc: pid,
-                            reran: false,
-                        });
-                        Ok(())
-                    }
-                    Err(_) => self.requeue_job(job_id),
-                }
-            }
-            Workload::Staged { .. } => {
-                // Stage processors idle Inactive between runs, and
-                // the outputs are already computed — a quiet relocation
-                // keeps the tenancy intact.
-                match self.chip.relocate(pid) {
-                    Ok(_) => {
-                        let rec = self.jobs.get_mut(&job_id).expect("running job");
-                        rec.stats.relocations += 1;
-                        self.stats.relocations += 1;
-                        self.push_event(EventKind::DefectRecovered {
-                            job: job_id,
-                            proc: pid,
-                            reran: false,
-                        });
-                        Ok(())
-                    }
-                    Err(_) => self.requeue_job(job_id),
-                }
-            }
+        let active = self.chip.state(pid) == Ok(ProcState::Active);
+        if active {
+            self.chip.deactivate(pid)?;
         }
+        if self.chip.relocate(pid).is_err() {
+            return self.requeue_job(job_id);
+        }
+        if active {
+            self.chip.activate(pid)?;
+        }
+        let rec = self.jobs.get_mut(&job_id).expect("running job");
+        rec.stats.relocations += 1;
+        self.stats.relocations += 1;
+        self.push_event(EventKind::DefectRecovered {
+            job: job_id,
+            proc: pid,
+        });
+        Ok(())
     }
 
     /// Recovery could not relocate in place: release everything the job
@@ -568,43 +506,10 @@ impl Runtime {
 
     // --- completion ----------------------------------------------------------
 
+    /// A running job's hold ended. Its outputs were computed and checked
+    /// at admission and wait on the record, so completion only checks
+    /// the deadline, then parks or releases what the job holds.
     fn complete_job(&mut self, job_id: JobId) -> Result<(), RuntimeError> {
-        let spec = Arc::clone(&self.jobs[&job_id].spec);
-        let output = match &spec.workload {
-            Workload::Stream {
-                kernel, expected, ..
-            } => {
-                let pid = self.jobs[&job_id].procs[0];
-                self.chip.deactivate(pid)?;
-                let words = self
-                    .chip
-                    .read_mailbox(pid, 1, 0, kernel.output_len as usize)?;
-                let got: Vec<u64> = words.iter().map(|w| w.as_u64()).collect();
-                if let Some(exp) = expected {
-                    if got != *exp {
-                        self.fail_job(
-                            job_id,
-                            RuntimeError::workload(
-                                job_id,
-                                format!(
-                                    "{}: output mismatch (got {got:?}, expected {exp:?})",
-                                    kernel.name
-                                ),
-                            ),
-                        );
-                        return Ok(());
-                    }
-                }
-                JobOutput::Stream(got)
-            }
-            Workload::Staged { .. } => self.jobs[&job_id].output.clone().unwrap_or(JobOutput::None),
-            Workload::Idle { .. } => {
-                let pid = self.jobs[&job_id].procs[0];
-                self.chip.deactivate(pid)?;
-                JobOutput::None
-            }
-        };
-
         let now = self.now;
         if let Some(d) = self.jobs[&job_id].spec.deadline {
             if now > d {
@@ -620,13 +525,17 @@ impl Runtime {
             }
         }
 
-        // Park or release the held regions.
+        // Park or release the held regions, each lifting its protections
+        // first if it holds them (an idle tenant does).
         let procs = {
             let rec = self.jobs.get_mut(&job_id).expect("running job");
             std::mem::take(&mut rec.procs)
         };
         let single = procs.len() == 1;
         for p in procs {
+            if self.chip.state(p) == Ok(ProcState::Active) {
+                self.chip.deactivate(p)?;
+            }
             match (single, self.config.pool_ttl) {
                 (true, Some(ttl)) => {
                     let clusters = self.chip.processor(p)?.region.len();
@@ -647,7 +556,7 @@ impl Runtime {
         self.running.retain(|j| *j != job_id);
         let rec = self.jobs.get_mut(&job_id).expect("running job");
         rec.state = JobState::Completed;
-        rec.output = Some(output);
+        rec.output.get_or_insert(JobOutput::None);
         rec.stats.finished_at = Some(now);
         rec.stats.turnaround = now - rec.stats.submitted_at;
         let (wait, turnaround) = (rec.stats.wait, rec.stats.turnaround);
@@ -798,10 +707,7 @@ impl Runtime {
         // pointer, never the program, datasets or references.
         let spec = Arc::clone(&self.jobs[&job_id].spec);
         match &spec.workload {
-            Workload::Stream { kernel, input, .. } => {
-                self.admit_single(job_id, clusters, attempts, Some((kernel, input)), 0)
-            }
-            Workload::Idle { ticks } => self.admit_single(job_id, clusters, attempts, None, *ticks),
+            Workload::Idle { ticks } => self.admit_idle(job_id, clusters, attempts, *ticks),
             Workload::Staged {
                 program,
                 datasets,
@@ -863,31 +769,36 @@ impl Runtime {
         });
     }
 
-    fn admit_single(
+    /// Takes an exact-size region from the warm pool for `job_id`: wakes
+    /// it, lifts its protections and wipes its AP, so it is Inactive and
+    /// empty, as if just gathered — without the configuration worms.
+    fn take_pooled(
+        &mut self,
+        job_id: JobId,
+        clusters: usize,
+    ) -> Result<Option<ProcessorId>, RuntimeError> {
+        let Some(pos) = self.pool.iter().position(|e| e.clusters == clusters) else {
+            return Ok(None);
+        };
+        let proc = self.pool.remove(pos).proc;
+        self.chip.wake(proc)?;
+        self.chip.deactivate(proc)?;
+        self.chip.recycle_processor(proc)?;
+        self.stats.pool_hits += 1;
+        self.push_event(EventKind::PoolWoken { proc, job: job_id });
+        Ok(Some(proc))
+    }
+
+    fn admit_idle(
         &mut self,
         job_id: JobId,
         clusters: usize,
         attempts: u32,
-        stream: Option<(&StreamKernel, &[u64])>,
-        idle_ticks: u64,
+        ticks: u64,
     ) -> Result<(), RuntimeError> {
-        // Warm pool first: an exact-size parked region skips the gather
-        // (and its configuration worms) entirely.
-        let mut acquired: Option<(ProcessorId, u64, bool)> = None;
-        if let Some(pos) = self.pool.iter().position(|e| e.clusters == clusters) {
-            let e = self.pool.remove(pos);
-            self.chip.wake(e.proc)?;
-            self.chip.deactivate(e.proc)?;
-            self.chip.recycle_processor(e.proc)?;
-            self.stats.pool_hits += 1;
-            self.push_event(EventKind::PoolWoken {
-                proc: e.proc,
-                job: job_id,
-            });
-            acquired = Some((e.proc, 0, true));
-        }
-        if acquired.is_none() {
-            acquired = match self.chip.gather_any(clusters) {
+        let acquired = match self.take_pooled(job_id, clusters)? {
+            Some(pid) => Some((pid, 0, true)),
+            None => match self.chip.gather_any(clusters) {
                 Ok(o) => Some((o.id, o.config_latency, false)),
                 Err(_) if self.compact_for(clusters) => self
                     .chip
@@ -895,42 +806,14 @@ impl Runtime {
                     .ok()
                     .map(|o| (o.id, o.config_latency, false)),
                 Err(_) => None,
-            };
-        }
+            },
+        };
         let Some((pid, latency, pool_hit)) = acquired else {
             self.back_off(job_id, attempts);
             return Ok(());
         };
-
-        let (cfg_cycles, exec_cycles, duration) = match stream {
-            Some((kernel, input)) => match self.run_stream_on(pid, kernel, input) {
-                Ok((cfg, exec)) => {
-                    let dur = self.to_ticks(latency + cfg + exec);
-                    (latency + cfg, exec, dur)
-                }
-                Err(e) => {
-                    if self.chip.state(pid) == Ok(ProcState::Active) {
-                        self.chip.deactivate(pid)?;
-                    }
-                    self.chip.release_processor(pid)?;
-                    self.fail_job(job_id, RuntimeError::workload_from(job_id, e));
-                    return Ok(());
-                }
-            },
-            None => {
-                self.chip.activate(pid)?;
-                (latency, 0, idle_ticks.max(1))
-            }
-        };
-        self.mark_admitted(
-            job_id,
-            vec![pid],
-            attempts,
-            pool_hit,
-            cfg_cycles,
-            exec_cycles,
-            duration,
-        );
+        self.chip.activate(pid)?;
+        self.mark_admitted(job_id, vec![pid], attempts, pool_hit, latency, 0, ticks);
         Ok(())
     }
 
@@ -943,16 +826,24 @@ impl Runtime {
         datasets: &[HashMap<String, i64>],
         expected: Option<&[Vec<i64>]>,
     ) -> Result<(), RuntimeError> {
+        // A one-stage program takes an exact-size warm region first, like
+        // an idle job; it is installed but not gathered.
+        let pooled = match &program.stages[..] {
+            [stage] => self.take_pooled(job_id, stage.clusters)?,
+            _ => None,
+        };
+        let warm =
+            pooled.and_then(|p| StagedExecutor::deploy_on(&mut self.chip, program, &[p]).ok());
+        let pool_hit = warm.is_some();
         // Deployed by reference: the executor borrows the queued program
         // (the deploy rolls back its own partial gathers on failure).
-        let mut exec = match StagedExecutor::deploy(&mut self.chip, program).ok() {
-            Some(e) => Some(e),
+        let exec = match warm.or_else(|| StagedExecutor::deploy(&mut self.chip, program).ok()) {
             None if self.compact_for(clusters) => {
                 StagedExecutor::deploy(&mut self.chip, program).ok()
             }
-            None => None,
+            exec => exec,
         };
-        let Some(exec) = exec.take() else {
+        let Some(exec) = exec else {
             self.back_off(job_id, attempts);
             return Ok(());
         };
@@ -971,12 +862,10 @@ impl Runtime {
                 return Ok(());
             }
         };
-        let cfg_total = run.config_cycles;
-        let exec_total = run.exec_cycles;
         // The front end hands down its oracle's reference outputs (the
-        // netlist evaluator's, or the IR interpreter's for a block
-        // program) — the staged analogue of the stream check, verified
-        // for every dataset in the batch.
+        // netlist evaluator's, the IR interpreter's for a block program,
+        // the kernel reference for a stream), verified for every dataset
+        // in the batch.
         for (i, out) in outs.iter().enumerate() {
             if let Some(exp) = expected.and_then(|e| e.get(i)) {
                 if out != exp {
@@ -987,24 +876,21 @@ impl Runtime {
             }
         }
 
-        let latency: u64 = procs
-            .iter()
-            .map(|p| self.chip.processor(*p).map(|sp| sp.config_latency))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .sum();
-        let duration = self.to_ticks(latency + cfg_total + exec_total);
-        {
-            let rec = self.jobs.get_mut(&job_id).expect("queued job");
-            rec.output = Some(JobOutput::Staged(outs));
+        // A warm region was not gathered: no configuration worms to pay.
+        let mut latency = 0;
+        for p in procs.iter().filter(|_| !pool_hit) {
+            latency += self.chip.processor(*p)?.config_latency;
         }
+        let (config_cycles, exec_cycles) = (latency + run.config_cycles, run.exec_cycles);
+        let duration = (config_cycles + exec_cycles) / self.config.cycles_per_tick.max(1);
+        self.jobs.get_mut(&job_id).expect("queued job").output = Some(JobOutput::Staged(outs));
         self.mark_admitted(
             job_id,
             procs,
             attempts,
-            false,
-            latency + cfg_total,
-            exec_total,
+            pool_hit,
+            config_cycles,
+            exec_cycles,
             duration,
         );
         Ok(())
@@ -1041,29 +927,6 @@ impl Runtime {
             attempt: attempts,
             pool_hit,
         });
-    }
-
-    // --- workload driving ----------------------------------------------------
-
-    /// Installs, feeds, and executes a stream kernel on an inactive
-    /// processor, leaving it active. Returns (config, execute) cycles.
-    fn run_stream_on(
-        &mut self,
-        pid: ProcessorId,
-        kernel: &StreamKernel,
-        input: &[u64],
-    ) -> Result<(u64, u64), CoreError> {
-        self.chip.install(pid, kernel.objects.clone())?;
-        let words: Vec<Word> = input.iter().map(|&x| Word(x)).collect();
-        self.chip.write_mailbox(pid, 0, 0, &words)?;
-        self.chip.activate(pid)?;
-        let cfg = self.chip.configure(pid, kernel.stream.clone())?;
-        let rep = self.chip.execute(pid, 0, self.config.max_exec_cycles)?;
-        Ok((cfg.cycles, rep.cycles))
-    }
-
-    fn to_ticks(&self, cycles: u64) -> u64 {
-        (cycles / self.config.cycles_per_tick.max(1)).max(1)
     }
 
     fn push_event(&mut self, kind: EventKind) {
@@ -1255,19 +1118,31 @@ mod tests {
 
     #[test]
     fn warm_pool_reuses_an_exact_size_region() {
-        let mut rt = rt(Some(64));
-        let a = rt.submit(idle(4, 2));
-        rt.run_until_idle(1_000).unwrap();
-        assert_eq!(rt.pool_len(), 1, "completed region parks in the pool");
-        let b = rt.submit(idle(4, 2));
-        rt.run_until_idle(1_000).unwrap();
-        assert!(rt.job(b).unwrap().stats.pool_hit);
-        assert!(!rt.job(a).unwrap().stats.pool_hit);
-        assert_eq!(rt.stats().pool_hits, 1);
-        assert!(rt
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::PoolWoken { job, .. } if job == b)));
+        // Idle jobs, and one-stage staged jobs (a stream kernel here):
+        // the second of two same-size jobs wakes the first one's region.
+        let stream = || {
+            let xs: Vec<u64> = (1..=8).collect();
+            let expected = vlsi_workloads::StreamKernel::axpy_reference(3, 5, &xs);
+            let kernel = vlsi_workloads::StreamKernel::axpy(3, 5, 8);
+            JobSpec::for_stream("axpy", 4, kernel, xs, expected)
+        };
+        for (first, second) in [(idle(4, 2), idle(4, 2)), (stream(), stream())] {
+            let mut rt = rt(Some(64));
+            let a = rt.submit(first);
+            rt.run_until_idle(1_000).unwrap();
+            assert_eq!(rt.pool_len(), 1, "completed region parks in the pool");
+            let b = rt.submit(second);
+            rt.run_until_idle(1_000).unwrap();
+            assert_eq!(rt.job(b).unwrap().state, JobState::Completed);
+            assert!(rt.job(b).unwrap().stats.pool_hit);
+            assert!(!rt.job(a).unwrap().stats.pool_hit);
+            assert_eq!(rt.job(a).unwrap().output, rt.job(b).unwrap().output);
+            assert_eq!(rt.stats().pool_hits, 1);
+            assert!(rt
+                .events()
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::PoolWoken { job, .. } if job == b)));
+        }
     }
 
     #[test]

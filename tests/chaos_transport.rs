@@ -20,6 +20,9 @@ use vlsi_processor::runtime::{EventKind, Fifo, JobState, Runtime, RuntimeConfig}
 use vlsi_processor::telemetry::{report, TelemetryHandle};
 use vlsi_processor::topology::{Cluster, Coord};
 
+#[path = "support/terminal.rs"]
+mod terminal;
+
 /// The CI seed matrix: three seeds, three transient-fault rates.
 const SEEDS: [u64; 3] = [11, 4242, 987_654_321];
 const RATES: [f64; 3] = [0.005, 0.02, 0.08];
@@ -230,7 +233,8 @@ fn runtime_chaos_resolves_every_job_and_replays_identically() {
         for rate in RATES {
             let rt = runtime_chaos_run(seed, rate);
             // Clause 2: nothing in limbo — every job completed or
-            // carries a typed failure.
+            // carries a typed failure, and its log says so exactly once.
+            terminal::assert_one_terminal_event(&rt, &format!("seed {seed} rate {rate}"));
             for rec in rt.jobs() {
                 match rec.state {
                     JobState::Completed => assert!(rec.failure.is_none()),

@@ -143,7 +143,6 @@ fn runtime_rejects_wrong_reference_outputs() {
                 got: vec![6],
                 expected: vec![999],
             },
-            source: None,
         })
     );
 }

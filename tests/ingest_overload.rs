@@ -28,6 +28,9 @@ use vlsi_processor::telemetry::TelemetryHandle;
 use vlsi_processor::topology::Cluster;
 use vlsi_processor::workloads::{arrival_trace, ArrivalEvent, ArrivalProfile};
 
+#[path = "support/terminal.rs"]
+mod terminal;
+
 const SEEDS: [u64; 3] = [11, 4242, 987_654_321];
 
 fn profiles() -> [ArrivalProfile; 3] {
@@ -144,6 +147,9 @@ fn chaos_run(seed: u64, profile: ArrivalProfile, threads: usize) -> (AccountingR
     assert_eq!(ledger.in_ring, 0, "drained runs end with an empty ring");
     assert_eq!(ledger.in_retry, 0, "no retry may be stranded");
     assert_eq!(ledger.sink_outstanding, 0, "the sink drained");
+    for (c, chip) in service.sink().fleet().chips().enumerate() {
+        terminal::assert_one_terminal_event(chip, &format!("{label} chip {c}"));
+    }
 
     let mut digest = format!("{ledger:?}\n");
     for (c, e) in service.sink().merged_events() {

@@ -33,14 +33,14 @@ const FAULT_STORM_WORMS: usize = 240;
 const PINNED_DIGEST: &str = "\
 seed 2012
 fleet_64x64x4 completed 160
-fleet_64x64x4 events_fnv 0x38316952e4fea787
-fleet_64x64x4 telemetry_fnv 0x937994684d6b2e9e
+fleet_64x64x4 events_fnv 0xce5cd62eb2e1ff2b
+fleet_64x64x4 telemetry_fnv 0x2103f132bda96db6
 noc_storm_32x32_sharded digest_fnv 0xd90ee64c4fd007bc
-accept55_fifo event_log_fnv 0x28147b6b5e050042
-chaos_mix_64x64 event_log_fnv 0x7603ba182ce80aaa
+accept55_fifo event_log_fnv 0xcf4554129154eef1
+chaos_mix_64x64 event_log_fnv 0x7237d56e3a78fdf4
 cluster_4x_32x32 completed 30
 cluster_4x_32x32 fabric_messages 29
-cluster_4x_32x32 digest_fnv 0x3f7e7367028c3eba
+cluster_4x_32x32 digest_fnv 0xa0ded45fa1eb55c4
 ingest_open_loop_4x arrivals 1800
 ingest_open_loop_4x accepted 404
 ingest_open_loop_4x completed 376
@@ -50,7 +50,7 @@ compile_corpus_12 completed 24
 compile_corpus_12 digest_fnv 0xfbb6280af64ed0eb
 soa_sweep_1024ap lanes 1024
 soa_sweep_1024ap digest_soa 0x5e9c7284cd700697
-chaos_mix_128x128 event_log_fnv 0xcb699d91864560a1
+chaos_mix_128x128 event_log_fnv 0x19c6178a5ec5767b
 staged_pipeline datasets 384
 staged_pipeline digest_seq 0x2ee45a612cb3e16f
 staged_pipeline digest_pipe 0x2ee45a612cb3e16f

@@ -9,11 +9,15 @@
 use vlsi_processor::core::VlsiChip;
 use vlsi_processor::runtime::mix::mixed_jobs;
 use vlsi_processor::runtime::{
-    EventKind, Fifo, JobSpec, JobState, Priority, Runtime, RuntimeConfig, RuntimeError,
+    EventKind, Fifo, JobOutput, JobSpec, JobState, Priority, Runtime, RuntimeConfig, RuntimeError,
     SchedPolicy, SmallestFitBackfill, Workload,
 };
 use vlsi_processor::telemetry::TelemetryHandle;
 use vlsi_processor::topology::{Cluster, Coord};
+use vlsi_processor::workloads::StreamKernel;
+
+#[path = "support/terminal.rs"]
+mod terminal;
 
 const SEED: u64 = 2012;
 const JOBS: usize = 54;
@@ -46,6 +50,7 @@ fn acceptance_run(policy: Box<dyn SchedPolicy>) -> Runtime {
     // A job that cannot possibly meet its deadline: graceful failure.
     rt.submit(JobSpec::new("doomed", 16, Workload::Idle { ticks: 10 }).with_deadline(1));
     rt.run_until_idle(500_000).expect("the mix must drain");
+    terminal::assert_one_terminal_event(&rt, rt.summary().policy);
     rt
 }
 
@@ -178,23 +183,24 @@ fn deadline_doomed_job_fails_gracefully_in_the_mix() {
 }
 
 #[test]
-fn a_mid_run_stream_defect_relocates_and_reruns() {
-    // A single long-running stream job; a defect lands inside its region
-    // while the datapath is mid-flight. The runtime must relocate the
-    // processor, restart the kernel, and still produce verified output.
+fn a_defect_under_a_stream_job_relocates_it_and_keeps_its_verified_output() {
+    // A single long-held stream job; a defect lands inside its region
+    // while the job holds it. The runtime must relocate the processor,
+    // and the job still completes with the kernel's reference output.
     let chip = VlsiChip::new(8, 8, Cluster::default());
     let config = RuntimeConfig {
-        cycles_per_tick: 1, // stretch the run so the defect lands mid-flight
+        cycles_per_tick: 1, // stretch the hold so the defect lands inside it
         ..RuntimeConfig::default()
     };
     let mut rt = Runtime::new(chip, Box::new(Fifo), config);
     let xs: Vec<u64> = (1..=24).collect();
+    let expected = StreamKernel::horner_reference(&[3, 1, 2, 7], &xs);
     let job = rt.submit(JobSpec::for_stream(
         "victim",
         4,
-        vlsi_processor::workloads::StreamKernel::horner(&[3, 1, 2, 7], 24),
+        StreamKernel::horner(&[3, 1, 2, 7], 24),
         xs.clone(),
-        vlsi_processor::workloads::StreamKernel::horner_reference(&[3, 1, 2, 7], &xs),
+        expected.clone(),
     ));
     // The first gather on an empty chip starts at the origin.
     rt.inject_defect_at(2, Coord::new(0, 0));
@@ -203,9 +209,11 @@ fn a_mid_run_stream_defect_relocates_and_reruns() {
     let rec = rt.job(job).unwrap();
     assert_eq!(rec.state, JobState::Completed);
     assert_eq!(rec.stats.relocations, 1);
+    let words: Vec<i64> = expected.iter().map(|&y| y as i64).collect();
+    assert_eq!(rec.output, Some(JobOutput::Staged(vec![words])));
     assert!(rt.events().iter().any(|e| matches!(
         e.kind,
-        EventKind::DefectRecovered { job: j, reran: true, .. } if j == job
+        EventKind::DefectRecovered { job: j, .. } if j == job
     )));
     // The relocated region avoids the defective cluster.
     assert!(rt.chip().is_defective(Coord::new(0, 0)));
