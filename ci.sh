@@ -49,7 +49,7 @@ echo "== end-to-end benchmark smoke (benchmark/run.sh --smoke: every workload ve
 benchmark/run.sh --smoke
 
 echo "== thread-matrix determinism (pinned digest at 1 and 8 threads, sharded/fabric storms at 1/2/8)"
-# The digest covers the fleet, sharded-NoC, acceptance, chaos,
+# The digest covers the 64x64 ring cluster, sharded-NoC, acceptance, chaos,
 # cluster_4x, ingest_open_loop, compile_corpus, soa_sweep and
 # staged_pipeline workloads, and asserts the sequential and pipelined
 # staged_pipeline outputs are identical.

@@ -608,6 +608,9 @@ impl Datapath {
                     }
                 };
                 let (lhs, rhs) = (operand(LHS), operand(RHS));
+                // Invariant: steering and memory operations are matched
+                // above, and `eval` is total on every other operation.
+                #[allow(clippy::expect_used)]
                 let result = op
                     .eval(lhs, rhs, imm)
                     .expect("context-free operation must evaluate");

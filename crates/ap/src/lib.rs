@@ -30,8 +30,9 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
-pub mod advisor;
 pub mod datapath;
 pub mod error;
 pub mod metrics;
@@ -42,7 +43,6 @@ pub mod soa;
 pub mod stack;
 pub mod wsrf;
 
-pub use advisor::{advise, advise_scalar, ResourceAdvice};
 pub use datapath::{Datapath, ExecutionReport};
 pub use error::ApError;
 pub use metrics::ApMetrics;

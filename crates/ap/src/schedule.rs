@@ -9,7 +9,8 @@
 //! logical object (the write-back) proceed concurrently with the *load*
 //! of the missing one, instead of serialising the two memory-block
 //! transfers. [`ReplacementScheduler::miss_penalty`] models both regimes
-//! so the benefit is measurable (the `ablation_stack` bench reports it),
+//! so the benefit is measurable (`the_table_always_helps_or_ties` below
+//! checks it),
 //! and the table itself records every scheduled transfer for inspection.
 
 use vlsi_object::ObjectId;

@@ -9,7 +9,8 @@
 //!   --max-nodes=N             partition capacity (default 12)
 //!   --chip=WxH                target die in clusters (default 32x32)
 //!   --defect=X,Y              mark a defective cluster (repeatable)
-//!   --year=Y                  ITRS year for wire-delay shaping (default 2012)
+//!   --year=Y                  ITRS year for wire-delay shaping, 2010–2015
+//!                             (default 2012)
 //!   --datasets=N              deploy on a simulated chip and run N
 //!                             seeded datasets through the pipelined
 //!                             executor, verifying each output against

@@ -17,6 +17,11 @@ pub enum CompileError {
         /// Clusters the die has.
         chip_clusters: usize,
     },
+    /// The shaping pass has no ITRS parameters for the requested year.
+    UnknownYear {
+        /// The requested year.
+        year: u32,
+    },
     /// No free defect-avoiding rectangle fits the stage's shape.
     Unplaceable {
         /// Stage index.
@@ -64,6 +69,9 @@ impl std::fmt::Display for CompileError {
                 f,
                 "stage {stage} needs {clusters} clusters; the die has {chip_clusters}"
             ),
+            CompileError::UnknownYear { year } => {
+                write!(f, "no ITRS parameters for year {year}")
+            }
             CompileError::Unplaceable {
                 stage,
                 width,

@@ -42,6 +42,8 @@
 //! the CI thread-matrix gate checks.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![deny(missing_docs)]
 
 pub mod channels;

@@ -61,7 +61,7 @@ pub fn shape(
     chip_height: u16,
     year: u32,
 ) -> Result<Shape, CompileError> {
-    let params = itrs::year(year).unwrap_or_else(|| itrs::year(2012).expect("2012 tabulated"));
+    let params = itrs::year(year).ok_or(CompileError::UnknownYear { year })?;
     let _ = netlist; // shapes depend only on the partition's counts
     let mut stages = Vec::with_capacity(part.stages.len());
     for (i, st) in part.stages.iter().enumerate() {
@@ -168,6 +168,11 @@ mod tests {
         assert_eq!(st.memory_objects, 2);
         // 6 compute / 4 per cluster → 2 clusters.
         assert_eq!(st.clusters(), 2);
+        // A year the ITRS table does not cover is refused, typed.
+        assert_eq!(
+            shape(&n, &part, &Cluster::default(), 32, 32, 2020).unwrap_err(),
+            CompileError::UnknownYear { year: 2020 }
+        );
         assert!(st.est_wire_delay_ns > 0.0);
     }
 

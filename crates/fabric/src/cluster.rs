@@ -1,8 +1,11 @@
-//! Fleet-level scheduling over the fabric: cluster-wide admission, job
+//! Multi-chip scheduling over the fabric: cluster-wide admission, job
 //! migration, and whole-chip chaos.
 //!
-//! A [`Cluster`] owns a [`Fleet`] of runtimes and a [`ClusterNetwork`]
-//! bridging their dies, and drives both with one clock. Each
+//! A [`Cluster`] owns one [`Runtime`] per chip and a [`ClusterNetwork`]
+//! bridging their dies, and drives both with one clock on one
+//! [`Pool`]. Chip `i` is always task `i` of a parallel step, and chips
+//! share no state inside it, so every cross-chip decision below reads
+//! post-barrier serial state. Each
 //! [`tick`](Cluster::tick) performs, in a fixed order:
 //!
 //! 1. **Chip deaths** — [`FaultKind::ChipDown`] entries of the attached
@@ -10,7 +13,7 @@
 //!    [`evacuated`](vlsi_runtime::Runtime::evacuate), and every
 //!    displaced job is relocated over the fabric or failed typed.
 //! 2. **Runtime tick** — live chips advance one tick in parallel
-//!    ([`Fleet::tick_masked`], chip `i` = task `i`).
+//!    (chip `i` = task `i`; a dead chip's clock freezes).
 //! 3. **Migration scan** — serial, ascending chip/job order: a queued
 //!    job its chip cannot gather right now (probed with
 //!    `largest_gatherable`) moves to the live chip with the most
@@ -27,11 +30,11 @@
 //! [`FaultKind::ChipDown`]: vlsi_faults::FaultKind::ChipDown
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use vlsi_faults::FaultPlan;
 use vlsi_par::Pool;
-use vlsi_runtime::{Fleet, JobId, JobSpec, Runtime, RuntimeEvent, RuntimeSummary};
+use vlsi_runtime::{JobId, JobSpec, Runtime, RuntimeError, RuntimeEvent, RuntimeSummary};
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::Coord;
 
@@ -69,7 +72,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The defaults the integration tests and cluster bench use.
+    /// The defaults the integration tests, the pinned `cluster_4x_32x32`
+    /// digest and the serving benchmark use.
     pub fn standard() -> ClusterConfig {
         ClusterConfig {
             fabric: FabricConfig::default(),
@@ -125,10 +129,12 @@ pub struct ClusterSummary {
     pub per_chip: Vec<RuntimeSummary>,
 }
 
-/// Fleet scheduling over an inter-chip fabric: cluster-wide admission,
-/// job migration, and whole-chip chaos, driven by one clock.
+/// The multi-chip system: one runtime per die on an inter-chip fabric,
+/// with cluster-wide admission, job migration, and whole-chip chaos,
+/// driven by one clock.
 pub struct Cluster {
-    fleet: Fleet,
+    chips: Vec<Runtime>,
+    pool: Arc<Pool>,
     net: ClusterNetwork,
     alive: Vec<bool>,
     plan: FaultPlan,
@@ -162,7 +168,8 @@ impl Cluster {
             telemetry.clone(),
         );
         Cluster {
-            fleet: Fleet::new(pool),
+            chips: Vec::new(),
+            pool,
             net,
             alive: vec![true; topo.chips()],
             plan: FaultPlan::none(),
@@ -186,20 +193,34 @@ impl Cluster {
         Cluster::with_telemetry(topo, mesh, pool, config, TelemetryHandle::disabled())
     }
 
-    /// Adds the next chip's runtime; returns its fleet index. Panics if
-    /// the topology is already full.
+    /// Adds the next chip's runtime; returns its chip index (stable
+    /// for the cluster's lifetime — it is also the chip's task index on
+    /// the pool). Panics if the topology is already full.
     pub fn push_chip(&mut self, rt: Runtime) -> usize {
         assert!(
-            self.fleet.len() < self.net.topology().chips(),
+            self.chips.len() < self.net.topology().chips(),
             "topology holds {} chips",
             self.net.topology().chips()
         );
-        self.fleet.push(rt)
+        self.chips.push(rt);
+        self.chips.len() - 1
     }
 
-    /// The underlying fleet.
-    pub fn fleet(&self) -> &Fleet {
-        &self.fleet
+    /// The chips' runtimes, in chip-index order (dead chips included).
+    pub fn chips(&self) -> impl Iterator<Item = &Runtime> {
+        self.chips.iter()
+    }
+
+    /// The runtime of chip `index`.
+    pub fn chip(&self, index: usize) -> &Runtime {
+        &self.chips[index]
+    }
+
+    /// The cluster itself. Exists only for the end-to-end benchmark
+    /// (`benchmark/`), which reads `cluster.fleet().chips()`; everything
+    /// else calls [`chips`](Self::chips) directly.
+    pub fn fleet(&self) -> &Cluster {
+        self
     }
 
     /// The interconnect.
@@ -266,7 +287,7 @@ impl Cluster {
     pub fn submit_to(&mut self, chip: usize, spec: JobSpec) -> GlobalJobId {
         assert!(self.alive[chip], "submitting to a dead chip");
         let gid = self.jobs.len() as u64;
-        let local = self.fleet.chip_mut(chip).submit(spec);
+        let local = self.chips[chip].submit(spec);
         self.jobs.push(GlobalJob {
             placement: Placement::OnChip(chip, local),
             migrations: 0,
@@ -279,11 +300,11 @@ impl Cluster {
     /// hold `clusters`, lowest index on ties.
     fn pick_chip(&self, clusters: usize) -> Option<usize> {
         let mut best: Option<(usize, usize)> = None;
-        for c in 0..self.fleet.len() {
+        for c in 0..self.chips.len() {
             if !self.alive[c] {
                 continue;
             }
-            let rt = self.fleet.chip(c);
+            let rt = &self.chips[c];
             if rt.chip().usable_clusters() < clusters {
                 continue;
             }
@@ -306,7 +327,15 @@ impl Cluster {
             self.kill_chip(chip as usize);
         }
         // 2. Live chips tick in parallel.
-        self.fleet.tick_masked(&self.alive)?;
+        let alive = &self.alive;
+        let results = each_chip(&self.pool, &mut self.chips, |i, chip| {
+            if alive[i] {
+                chip.tick()
+            } else {
+                Ok(())
+            }
+        });
+        first_error(results)?;
         // 3. Work stealing at the tick boundary.
         self.migration_scan();
         // 4. The fabric moves.
@@ -350,22 +379,21 @@ impl Cluster {
     pub fn is_idle(&self) -> bool {
         self.tickets.is_empty()
             && self.net.is_idle()
-            && (0..self.fleet.len())
-                .all(|c| !self.alive[c] || self.fleet.chip(c).outstanding() == 0)
+            && (0..self.chips.len()).all(|c| !self.alive[c] || self.chips[c].outstanding() == 0)
     }
 
     /// Jobs queued or running on live chips plus checkpoints in flight.
     pub fn outstanding(&self) -> usize {
         self.tickets.len()
-            + (0..self.fleet.len())
+            + (0..self.chips.len())
                 .filter(|&c| self.alive[c])
-                .map(|c| self.fleet.chip(c).outstanding())
+                .map(|c| self.chips[c].outstanding())
                 .sum::<usize>()
     }
 
     /// The run's digest so far.
     pub fn summary(&self) -> ClusterSummary {
-        let per_chip: Vec<RuntimeSummary> = self.fleet.chips().map(Runtime::summary).collect();
+        let per_chip: Vec<RuntimeSummary> = self.chips.iter().map(Runtime::summary).collect();
         ClusterSummary {
             ticks: self.now,
             completed: per_chip.iter().map(|s| s.completed).sum(),
@@ -380,7 +408,11 @@ impl Cluster {
     /// Every chip's event log merged in chip order (dead chips keep the
     /// log up to their death).
     pub fn merged_events(&self) -> Vec<(usize, RuntimeEvent)> {
-        self.fleet.merged_events()
+        let mut out = Vec::new();
+        for (i, chip) in self.chips.iter().enumerate() {
+            out.extend(chip.events().iter().map(|e| (i, e.clone())));
+        }
+        out
     }
 
     /// One registry holding fabric, plane, and chip instruments, merged
@@ -388,7 +420,7 @@ impl Cluster {
     /// count.
     pub fn merged_telemetry(&self) -> TelemetryHandle {
         let merged = self.net.merged_telemetry();
-        for chip in self.fleet.chips() {
+        for chip in self.chips.iter() {
             merged.merge_from(chip.telemetry());
         }
         merged
@@ -402,7 +434,7 @@ impl Cluster {
         }
         self.alive[chip] = false;
         self.net.fail_chip(chip);
-        let displaced = self.fleet.chip_mut(chip).evacuate();
+        let displaced = self.chips[chip].evacuate();
         for (local, spec) in displaced {
             let Some(gid) = self.index.remove(&(chip, local.0)) else {
                 continue;
@@ -426,7 +458,7 @@ impl Cluster {
             self.telemetry.count("fabric.jobs_lost.no_capacity", 1);
             return;
         };
-        let Some(home) = (0..self.fleet.len()).find(|&c| self.alive[c]) else {
+        let Some(home) = (0..self.chips.len()).find(|&c| self.alive[c]) else {
             self.jobs[gid as usize].placement = Placement::Lost("no live chip");
             self.lost.push((GlobalJobId(gid), "no live chip"));
             self.telemetry.count("fabric.jobs_lost", 1);
@@ -447,7 +479,7 @@ impl Cluster {
 
     /// Submits `spec` on `chip` and updates the global index.
     fn place(&mut self, gid: u64, chip: usize, spec: Arc<JobSpec>) {
-        let local = self.fleet.chip_mut(chip).submit(spec);
+        let local = self.chips[chip].submit(spec);
         self.jobs[gid as usize].placement = Placement::OnChip(chip, local);
         self.index.insert((chip, local.0), gid);
     }
@@ -457,7 +489,7 @@ impl Cluster {
         let words = (self.config.checkpoint_words + spec.clusters / 16).max(1);
         let payload: Vec<u64> = std::iter::repeat_n(gid, words).collect();
         let mesh_port = |c: usize| {
-            let rt = self.fleet.chip(c);
+            let rt = &self.chips[c];
             Coord::new(rt.chip().grid().width() / 2, rt.chip().grid().height() / 2)
         };
         let src_coord = mesh_port(src);
@@ -485,8 +517,8 @@ impl Cluster {
         if self.config.migration_cap == 0 {
             return;
         }
-        let chips = self.fleet.len();
-        if (0..chips).all(|c| !self.alive[c] || self.fleet.chip(c).queued_ids().is_empty()) {
+        let chips = self.chips.len();
+        if (0..chips).all(|c| !self.alive[c] || self.chips[c].queued_ids().is_empty()) {
             return;
         }
         // One gatherable-region probe per chip per scan: withdrawing a
@@ -494,7 +526,7 @@ impl Cluster {
         // delivery, so occupancy cannot change mid-scan — `planned`
         // tracks the reservations instead.
         let largest: Vec<usize> = (0..chips)
-            .map(|c| self.fleet.chip(c).chip().largest_gatherable())
+            .map(|c| self.chips[c].chip().largest_gatherable())
             .collect();
         let mut planned = vec![0usize; chips];
         for s in 0..chips {
@@ -502,9 +534,9 @@ impl Cluster {
                 continue;
             }
             let free_s = largest[s];
-            let queued: Vec<JobId> = self.fleet.chip(s).queued_ids().to_vec();
+            let queued: Vec<JobId> = self.chips[s].queued_ids().to_vec();
             for local in queued {
-                let Ok(rec) = self.fleet.chip(s).job(local) else {
+                let Ok(rec) = self.chips[s].job(local) else {
                     continue;
                 };
                 let need = rec.spec.clusters;
@@ -522,7 +554,7 @@ impl Cluster {
                     if d == s || !self.alive[d] {
                         continue;
                     }
-                    let rt = self.fleet.chip(d);
+                    let rt = &self.chips[d];
                     if rt.chip().usable_clusters() < need {
                         continue;
                     }
@@ -534,7 +566,7 @@ impl Cluster {
                 let Some((_, d)) = best else {
                     continue;
                 };
-                let Some(spec) = self.fleet.chip_mut(s).withdraw(local) else {
+                let Some(spec) = self.chips[s].withdraw(local) else {
                     continue;
                 };
                 self.index.remove(&(s, local.0));
@@ -545,6 +577,32 @@ impl Cluster {
             }
         }
     }
+}
+
+/// Runs `f` once per chip on `pool` (chip `i` = task `i`) and collects
+/// the results in chip-index order. The per-chip `Mutex` is
+/// uncontended by construction and only exists to hand each worker a
+/// `&mut` through the shared closure.
+fn each_chip<R: Send>(
+    pool: &Pool,
+    chips: &mut [Runtime],
+    f: impl Fn(usize, &mut Runtime) -> R + Sync,
+) -> Vec<R> {
+    let views: Vec<Mutex<&mut Runtime>> = chips.iter_mut().map(Mutex::new).collect();
+    pool.map(views.len(), |i| {
+        f(i, &mut views[i].lock().unwrap_or_else(|e| e.into_inner()))
+    })
+}
+
+/// The lowest-index chip error, if any — deterministic regardless of
+/// which worker hit its error first.
+fn first_error(results: Vec<Result<(), RuntimeError>>) -> Result<(), ClusterError> {
+    for (chip, r) in results.into_iter().enumerate() {
+        if let Err(error) = r {
+            return Err(ClusterError::Chip { chip, error });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -703,6 +761,9 @@ mod tests {
         assert_eq!(summary.per_chip[1].completed, 0);
         assert_eq!(summary.completed, 12, "all twelve jobs still complete");
         assert!(summary.per_chip[1].stats.migrated_out == 3);
+        // The dead chip's clock froze at its last live tick.
+        assert_eq!(cluster.chip(1).now(), 4);
+        assert!(cluster.now() > 4);
     }
 
     #[test]
@@ -775,5 +836,61 @@ mod tests {
         }
         assert_eq!(digests[0], digests[1], "1 vs 2 threads diverged");
         assert_eq!(digests[0], digests[2], "1 vs 8 threads diverged");
+    }
+
+    #[test]
+    fn first_error_picks_the_lowest_chip_regardless_of_order() {
+        // The merge rule itself: with chips 1 and 3 both failing, the
+        // cluster error is always chip 1's, whatever order workers finish.
+        let hung = |ticks| RuntimeError::Hung {
+            ticks,
+            outstanding: 1,
+        };
+        let err = first_error(vec![Ok(()), Err(hung(10)), Ok(()), Err(hung(99))]);
+        let want = "cluster: chip 1: runtime did not drain within 10 ticks (1 jobs outstanding)";
+        assert_eq!(err.map_err(|e| e.to_string()), Err(want.to_string()));
+        assert!(first_error(vec![Ok(()), Ok(())]).is_ok());
+    }
+
+    #[test]
+    fn merged_events_interleave_in_chip_order() {
+        let mut cluster = cluster_of(2, 1);
+        for c in 0..2 {
+            cluster.submit_to(c, idle(4, 3));
+        }
+        cluster.run_until_idle(1_000).unwrap();
+        let merged = cluster.merged_events();
+        let switch = merged.iter().position(|(c, _)| *c == 1).unwrap();
+        assert!(switch > 0, "chip 0 events come first");
+        assert!(merged[..switch].iter().all(|(c, _)| *c == 0));
+        assert!(merged[switch..].iter().all(|(c, _)| *c == 1));
+        let per_chip: usize = cluster.chips().map(|c| c.events().len()).sum();
+        assert_eq!(merged.len(), per_chip);
+    }
+
+    #[test]
+    fn a_chip_that_never_drains_hangs_the_run_typed_at_every_thread_count() {
+        // Chip 2 holds an idle job far longer than the tick budget while
+        // the other jobs finish: the same typed error, and the same
+        // merged survivor logs, at every thread count.
+        let run = |threads: usize| {
+            let mut cluster = cluster_of(4, threads);
+            for c in 0..4 {
+                cluster.submit_to(c, idle(8, 20 + c as u64));
+            }
+            cluster.submit_to(2, idle(4, 1 << 40));
+            let err = cluster.run_until_idle(200).unwrap_err();
+            (err, format!("{:?}", cluster.merged_events()))
+        };
+        let serial = run(1);
+        let hung = ClusterError::Hung {
+            ticks: 200,
+            outstanding: 1,
+        };
+        assert_eq!(serial.0, hung);
+        assert!(serial.1.contains("Completed"), "survivors finished");
+        for threads in [2, 8] {
+            assert_eq!(run(threads), serial, "{threads} threads");
+        }
     }
 }

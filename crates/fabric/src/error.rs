@@ -1,7 +1,7 @@
 //! Typed failures of the inter-chip layer.
 
 use crate::network::MessageId;
-use vlsi_runtime::FleetError;
+use vlsi_runtime::RuntimeError;
 
 /// Why the fabric could not carry a message. Failures are graceful:
 /// they land on [`ClusterNetwork::take_failed`], never panic or hang.
@@ -12,7 +12,7 @@ pub enum FabricError {
     /// The chip at `chip` is dead, so the send (or delivery) is
     /// impossible.
     ChipDown {
-        /// Fleet index of the dead chip.
+        /// Chip index of the dead chip.
         chip: usize,
     },
     /// The message was given up on; `reason` is a short label
@@ -46,9 +46,15 @@ impl std::error::Error for FabricError {}
 /// [`Cluster::lost_jobs`]: crate::Cluster::lost_jobs
 #[derive(Clone, PartialEq, Debug)]
 pub enum ClusterError {
-    /// A live chip's runtime errored (lowest chip index wins, like
-    /// [`FleetError`]).
-    Chip(FleetError),
+    /// A live chip's runtime errored. When several chips fail in one
+    /// parallel tick, the lowest chip index is reported — a
+    /// deterministic choice at every thread count.
+    Chip {
+        /// Index of the failing chip.
+        chip: usize,
+        /// The chip runtime's own error.
+        error: RuntimeError,
+    },
     /// The cluster did not drain within the tick budget.
     Hung {
         /// Ticks simulated before giving up.
@@ -61,7 +67,7 @@ pub enum ClusterError {
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClusterError::Chip(e) => write!(f, "cluster: {e}"),
+            ClusterError::Chip { chip, error } => write!(f, "cluster: chip {chip}: {error}"),
             ClusterError::Hung { ticks, outstanding } => {
                 write!(
                     f,
@@ -73,9 +79,3 @@ impl std::fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
-
-impl From<FleetError> for ClusterError {
-    fn from(e: FleetError) -> ClusterError {
-        ClusterError::Chip(e)
-    }
-}

@@ -14,7 +14,8 @@
 //!   serially in ascending `(source chip, source router)` order — the
 //!   same two-phase discipline as the sharded NoC tick, so a run is
 //!   bit-identical at any thread count.
-//! * [`Cluster`] — fleet-level scheduling on top: cluster-wide
+//! * [`Cluster`] — multi-chip scheduling on top: the chips' runtimes,
+//!   cluster-wide
 //!   admission, queued-job migration at tick boundaries, and chaos
 //!   recovery when a [`FaultKind::ChipDown`] plan kills a whole die
 //!   mid-run — its jobs relocate over the fabric or fail typed, never

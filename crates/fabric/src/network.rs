@@ -63,7 +63,8 @@ impl std::fmt::Display for MessageId {
 }
 
 /// Tunables of the interconnect. [`Default`] is what the integration
-/// tests and the cluster bench use.
+/// tests, the pinned `cluster_4x_32x32` digest and the serving benchmark
+/// use (through [`ClusterConfig::standard`](crate::ClusterConfig::standard)).
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
     /// Ticks a packet spends on an off-chip wire before it may hop.
@@ -247,11 +248,6 @@ impl ClusterNetwork {
     /// Whether `chip` is still alive.
     pub fn alive(&self, chip: usize) -> bool {
         !self.dead[chip]
-    }
-
-    /// Messages accepted but not yet delivered or failed.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 
     /// Whether no message is in flight anywhere.

@@ -61,12 +61,12 @@ impl ClusterTopology {
         self.height
     }
 
-    /// Chip-grid coordinates of fleet index `chip`.
+    /// Chip-grid coordinates of chip index `chip`.
     pub fn coords(&self, chip: usize) -> (usize, usize) {
         (chip % self.width, chip / self.width)
     }
 
-    /// Fleet index of the chip at `(x, y)` (wrapping).
+    /// Chip index of the chip at `(x, y)` (wrapping).
     pub fn chip_at(&self, x: usize, y: usize) -> usize {
         (y % self.height) * self.width + (x % self.width)
     }

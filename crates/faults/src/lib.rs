@@ -26,6 +26,8 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 use vlsi_prng::Prng;
 use vlsi_topology::{Coord, Dir};
@@ -74,12 +76,12 @@ pub enum FaultKind {
         /// The stuck cluster.
         at: Coord,
     },
-    /// Cluster-level: the whole chip at fleet index `chip` dies — clock
+    /// Cluster-level: the whole chip at chip index `chip` dies — clock
     /// gone, NoC gone, off-chip links severed. Always treated as
     /// permanent by consumers (a die does not heal); the fabric layer
     /// reacts by rerouting around it and evacuating its jobs.
     ChipDown {
-        /// Fleet index of the failed chip.
+        /// Chip index of the failed chip.
         chip: u16,
     },
 }
@@ -258,7 +260,7 @@ impl FaultPlan {
         })
     }
 
-    /// Chip-death faults that activate exactly at `t`, by fleet index
+    /// Chip-death faults that activate exactly at `t`, by chip index
     /// (edge-triggered, like [`switches_sticking_at`]; chip deaths are
     /// permanent regardless of the fault's recorded duration).
     ///

@@ -33,7 +33,7 @@ impl ShedReason {
     }
 }
 
-/// Why a request was rejected (refused before reaching the fleet).
+/// Why a request was rejected (refused before reaching the cluster).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RejectReason {
     /// The tenant's token bucket is empty.

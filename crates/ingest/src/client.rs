@@ -142,11 +142,11 @@ impl IngestClient {
     /// Fires every retry due at or before `now`, in (due, arrival)
     /// order. Call once per tick, before delivering new arrivals.
     pub fn tick(&mut self, now: u64) {
-        while let Some((&key, _)) = self.pending.iter().next() {
-            if key.0 > now {
+        while let Some(entry) = self.pending.first_entry() {
+            if entry.key().0 > now {
                 break;
             }
-            let p = self.pending.remove(&key).expect("key just observed");
+            let p = entry.remove();
             self.stats.retries += 1;
             self.telemetry.count("ingest.retries", 1);
             self.try_enqueue(now, p.req, p.attempts + 1);

@@ -1,9 +1,9 @@
 //! # vlsi-ingest — service-grade ingestion with overload protection
 //!
-//! The runtime, fleet, and cluster layers assume a well-behaved caller:
+//! The runtime and cluster layers assume a well-behaved caller:
 //! jobs appear exactly when the simulation loop says so. A *service*
 //! has no such luxury — submissions arrive open-loop, bursty, from many
-//! tenants, while the fleet is mid-tick. This crate is the front door
+//! tenants, while the cluster is mid-tick. This crate is the front door
 //! that makes that safe without giving up determinism:
 //!
 //! * [`SubmissionRing`] — a fixed-capacity MPSC ring (safe Rust,
@@ -27,6 +27,8 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod admission;
 pub mod client;

@@ -1,6 +1,6 @@
 //! The fixed-capacity MPSC submission ring.
 //!
-//! External producers enqueue while the fleet ticks; the service drains
+//! External producers enqueue while the cluster ticks; the service drains
 //! at tick boundaries only, in ring order. The design is a bounded
 //! Vyukov-style queue with seqlock-style slot sequence numbers, built
 //! entirely in safe Rust (the workspace forbids `unsafe`): each slot
@@ -138,12 +138,9 @@ impl<T> SubmissionRing<T> {
         if seq != pos + 1 {
             return None;
         }
-        let value = slot
-            .cell
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("slot protocol: published slot holds a value");
+        // A published slot always holds its value: the producer stores
+        // it before the release-store of `seq` observed above.
+        let value = slot.cell.lock().unwrap_or_else(|e| e.into_inner()).take()?;
         // Recycle the slot for the producer one lap ahead.
         slot.seq.store(pos + cap, Ordering::Release);
         self.head.store(pos + 1, Ordering::Release);

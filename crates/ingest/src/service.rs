@@ -79,11 +79,11 @@ impl IngestSink for Cluster {
     }
 
     fn completed(&self) -> u64 {
-        self.fleet().chips().map(|c| c.stats().completed).sum()
+        self.chips().map(|c| c.stats().completed).sum()
     }
 
     fn failed(&self) -> u64 {
-        self.fleet().chips().map(|c| c.stats().failed).sum()
+        self.chips().map(|c| c.stats().failed).sum()
     }
 
     fn lost(&self) -> u64 {

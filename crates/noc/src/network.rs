@@ -9,7 +9,9 @@
 //!
 //! Per-worm injection and delivery timestamps are recorded: configuration
 //! latency — how long a scaling worm takes to program its target switch —
-//! is the quantity the Ablation C bench sweeps against region size.
+//! is the quantity Ablation C
+//! (`tests/scaling.rs::configuration_latency_grows_with_region_size`)
+//! sweeps against region size.
 //!
 //! ## Fault tolerance
 //!
@@ -398,11 +400,6 @@ impl NocNetwork {
         std::mem::take(&mut self.failed)
     }
 
-    /// Worms injected but neither delivered nor declared undeliverable.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Per-attempt delivery budget: generous slack over the contention-
     /// free latency so congestion alone rarely trips it.
     fn delivery_budget(&self, src: Coord, dest: Coord, flits: usize) -> u64 {
@@ -783,6 +780,10 @@ impl NocNetwork {
 
     /// Re-injects a purged worm's flits at its source.
     fn retransmit(&mut self, worm: WormId) {
+        // `inject` admits on-grid sources only, so `si` always resolves.
+        let Some(si) = self.pending.get(&worm).and_then(|p| self.idx(p.src)) else {
+            return;
+        };
         let Some(p) = self.pending.get_mut(&worm) else {
             return;
         };
@@ -804,7 +805,6 @@ impl NocNetwork {
         self.telemetry.count("noc.retransmissions", 1);
         self.telemetry
             .instant("noc", "retransmit", worm.0, self.stats.cycles);
-        let si = self.idx(src).expect("pending worm has an on-grid source");
         self.carried_shards = 0;
         for f in (Packet {
             worm,

@@ -264,10 +264,13 @@ impl GlobalConfigStream {
                     total += distinct;
                     windows += 1;
                     let out = refs[i + 1 - tau];
-                    let c = counts.get_mut(&out).expect("in window");
-                    *c -= 1;
-                    if *c == 0 {
-                        distinct -= 1;
+                    // `out` entered the window `tau` references ago, so
+                    // its count is always present.
+                    if let Some(c) = counts.get_mut(&out) {
+                        *c -= 1;
+                        if *c == 0 {
+                            distinct -= 1;
+                        }
                     }
                 }
             }

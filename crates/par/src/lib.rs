@@ -12,8 +12,8 @@
 //! spawned once and parked on a condvar between parallel regions, so a
 //! region costs two lock handoffs per worker rather than a thread
 //! spawn. That keeps fine-grained regions (the sharded NoC tick) viable
-//! while coarse regions (fleet chips, bench seeds) amortise it to
-//! nothing.
+//! while coarse regions (the chips of a multi-chip cluster) amortise it
+//! to nothing.
 //!
 //! ```
 //! use vlsi_par::Pool;
@@ -35,7 +35,7 @@
 //!
 //! Re-entrant regions (a task calling back into the pool) execute
 //! inline on the calling thread — deterministic and deadlock-free, so
-//! e.g. a fleet chip whose NoC is also pool-attached degrades to a
+//! e.g. a cluster chip whose NoC is also pool-attached degrades to a
 //! serial NoC tick instead of wedging the pool.
 
 #![deny(missing_docs)]

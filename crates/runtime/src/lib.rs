@@ -56,7 +56,6 @@
 
 mod error;
 mod events;
-mod fleet;
 mod job;
 pub mod mix;
 mod policy;
@@ -64,7 +63,6 @@ mod runtime;
 
 pub use error::{RuntimeError, WorkloadDetail};
 pub use events::{EventKind, RuntimeEvent};
-pub use fleet::{Fleet, FleetError};
 pub use job::{JobId, JobOutput, JobRecord, JobSpec, JobState, JobStats, Workload};
 pub use policy::{Fifo, Priority, QueuedJob, SchedPolicy, SmallestFitBackfill};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, RuntimeSummary};

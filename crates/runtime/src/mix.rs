@@ -3,7 +3,7 @@
 //! [`mixed_jobs`] turns [`vlsi_workloads::jobmix`] cases into a batch of
 //! [`JobSpec`]s with varied sizes, priorities, deadlines, and tenants —
 //! the contended workload the integration tests replay under every
-//! policy and the Ablation I bench sweeps.
+//! policy and Ablation I (`tests/ablations.rs`) sweeps.
 
 use vlsi_prng::Prng;
 use vlsi_workloads::jobmix;

@@ -2,8 +2,8 @@
 //!
 //! A policy only *orders* admission: it picks which queued job the
 //! runtime should try to gather next. The runtime owns everything else —
-//! backoff, compaction, retries — so policies stay tiny and the ablation
-//! bench compares pure ordering effects.
+//! backoff, compaction, retries — so policies stay tiny and Ablation I
+//! (`tests/ablations.rs`) compares pure ordering effects.
 
 use crate::job::JobId;
 
@@ -34,11 +34,11 @@ impl QueuedJob {
 /// A scheduling policy: picks the next queued job to try admitting.
 ///
 /// `Send` is a supertrait so a boxed policy — and therefore a whole
-/// [`Runtime`](crate::Runtime) — can move to a worker thread; the
-/// [`Fleet`](crate::Fleet) ticks its chips on a pool. The shipped
+/// [`Runtime`](crate::Runtime) — can move to a worker thread; a
+/// multi-chip cluster ticks its chips on a pool. The shipped
 /// policies are all stateless unit structs, so this costs nothing.
 pub trait SchedPolicy: Send {
-    /// The policy's name (for traces, tables, and benches).
+    /// The policy's name (for traces and tables).
     fn name(&self) -> &'static str;
 
     /// The index into `queue` (submission order) of the job to try next,

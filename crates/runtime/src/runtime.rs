@@ -30,15 +30,6 @@ use crate::policy::{QueuedJob, SchedPolicy};
 /// integration tests and Ablation I.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
-    /// Backoff after a failed gather: attempt `n` waits
-    /// `backoff_base << (n - 1)` ticks (capped).
-    pub backoff_base: u64,
-    /// Upper bound on the backoff delay, in ticks.
-    pub backoff_cap: u64,
-    /// When a gather fails and [`VlsiChip::fragmentation`] exceeds this
-    /// while enough total free clusters exist, the runtime compacts and
-    /// retries once before backing off.
-    pub compact_threshold: f64,
     /// Warm pool: a completed single-processor job's region is parked
     /// asleep for this many ticks instead of released; a later idle or
     /// one-stage job of exactly that size reuses it without re-gathering
@@ -58,9 +49,6 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> RuntimeConfig {
         RuntimeConfig {
-            backoff_base: 2,
-            backoff_cap: 64,
-            compact_threshold: 0.35,
             pool_ttl: Some(32),
             cycles_per_tick: 64,
             event_log_cap: 1 << 16,
@@ -102,8 +90,8 @@ pub struct RuntimeStats {
     pub total_cluster_ticks: u64,
 }
 
-/// The digest [`Runtime::run_until_idle`] returns — what the ablation
-/// bench tabulates per policy.
+/// The digest [`Runtime::run_until_idle`] returns — what Ablation I
+/// (`tests/ablations.rs`) tabulates per policy.
 #[derive(Clone, Debug)]
 pub struct RuntimeSummary {
     /// Name of the scheduling policy that produced this run.
@@ -723,12 +711,24 @@ impl Runtime {
         }
     }
 
+    /// When a gather fails and [`VlsiChip::fragmentation`] exceeds this
+    /// while enough total free clusters exist, the runtime compacts and
+    /// retries once before backing off.
+    const COMPACT_THRESHOLD: f64 = 0.35;
+
+    /// Backoff after a failed gather: attempt `n` waits
+    /// `BACKOFF_BASE << (n - 1)` ticks, capped at [`Self::BACKOFF_CAP`].
+    const BACKOFF_BASE: u64 = 2;
+
+    /// Upper bound on the backoff delay, in ticks.
+    const BACKOFF_CAP: u64 = 64;
+
     /// Gather failed: compact if fragmentation pressure warrants a retry
     /// (caller retries once when this returns `true`), otherwise the
     /// caller backs off or fails the job.
     fn compact_for(&mut self, clusters: usize) -> bool {
         let frag = self.chip.fragmentation();
-        if frag <= self.config.compact_threshold || self.chip.free_clusters() < clusters {
+        if frag <= Self::COMPACT_THRESHOLD || self.chip.free_clusters() < clusters {
             return false;
         }
         let moved = self.chip.compact();
@@ -755,9 +755,7 @@ impl Runtime {
             return;
         }
         let shift = (attempts.saturating_sub(1)).min(16);
-        let delay = (self.config.backoff_base << shift)
-            .min(self.config.backoff_cap)
-            .max(1);
+        let delay = (Self::BACKOFF_BASE << shift).min(Self::BACKOFF_CAP);
         let retry_at = self.now + delay;
         let rec = self.jobs.get_mut(&job_id).expect("queued job");
         rec.next_attempt_at = retry_at;
@@ -1000,7 +998,7 @@ impl Runtime {
         &self.stats
     }
 
-    /// Digest of the run so far (what the ablation bench tabulates).
+    /// Digest of the run so far (what Ablation I tabulates).
     pub fn summary(&self) -> RuntimeSummary {
         let finished = self.jobs.values().filter(|r| r.stats.finished_at.is_some());
         let makespan = finished

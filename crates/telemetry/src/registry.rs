@@ -143,7 +143,7 @@ impl Registry {
     /// in `other`'s recording order.
     ///
     /// `other`'s instruments are visited in *interning* order, so a
-    /// fixed merge schedule (shards in shard order, fleet chips in chip
+    /// fixed merge schedule (shards in shard order, cluster chips in chip
     /// index order) yields a deterministic registry — and the sorted
     /// [`snapshot`](Self::snapshot) makes the export independent of the
     /// interning interleave altogether. Merging an instrument that only

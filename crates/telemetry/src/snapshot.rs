@@ -148,7 +148,7 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as CSV (`kind,name,...` rows, name order) —
-    /// the bench-style flat export.
+    /// the flat export `examples/telemetry_trace.rs` writes.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,name,count,sum,min,max\n");
         for (name, v) in &self.entries {

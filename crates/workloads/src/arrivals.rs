@@ -1,16 +1,16 @@
 //! Open-loop arrival traces for the ingestion front-end.
 //!
 //! A serving system is characterised by its *arrival process*, not by a
-//! fixed batch of jobs: requests keep coming whether or not the fleet
+//! fixed batch of jobs: requests keep coming whether or not the cluster
 //! can absorb them. This module generates deterministic open-loop
 //! arrival traces — sequences of [`ArrivalEvent`]s stamped with the
 //! tick they reach the submission ring — in three regimes:
 //!
-//! * [`ArrivalProfile::Sustained`] — a steady rate the fleet should
+//! * [`ArrivalProfile::Sustained`] — a steady rate the cluster should
 //!   absorb with bounded queueing;
 //! * [`ArrivalProfile::Burst`] — a low base rate with periodic bursts
 //!   that probe the ring's backpressure and the retry path;
-//! * [`ArrivalProfile::Overload`] — a rate beyond the fleet's service
+//! * [`ArrivalProfile::Overload`] — a rate beyond the cluster's service
 //!   capacity, where only shedding keeps sojourn times bounded.
 //!
 //! Rates are in **milli-jobs per tick** (1000 = one job every tick), so

@@ -1,6 +1,6 @@
 //! Deterministic workload instances for multi-tenant job mixes.
 //!
-//! The runtime's integration tests and the Ablation I bench need *many*
+//! The runtime's integration tests and Ablation I need *many*
 //! varied workloads whose correct outputs are known up front. These
 //! generators draw kernel choices, parameters, and inputs from a
 //! [`Prng`], so the same seed always yields the same case — and therefore

@@ -80,7 +80,7 @@ pub fn generate(kind: GraphKind, seed: u64) -> String {
 
 /// The standard corpus: all four families at three sizes each —
 /// 12 graphs, every one compiled and executed by the acceptance tests
-/// and the `compile_corpus` bench.
+/// and the pinned `compile_corpus_12` digest lines.
 pub fn corpus(seed: u64) -> Vec<(String, String)> {
     let kinds = [
         GraphKind::Chain { len: 8 },

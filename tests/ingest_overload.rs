@@ -147,7 +147,7 @@ fn chaos_run(seed: u64, profile: ArrivalProfile, threads: usize) -> (AccountingR
     assert_eq!(ledger.in_ring, 0, "drained runs end with an empty ring");
     assert_eq!(ledger.in_retry, 0, "no retry may be stranded");
     assert_eq!(ledger.sink_outstanding, 0, "the sink drained");
-    for (c, chip) in service.sink().fleet().chips().enumerate() {
+    for (c, chip) in service.sink().chips().enumerate() {
         terminal::assert_one_terminal_event(chip, &format!("{label} chip {c}"));
     }
 

@@ -1,7 +1,7 @@
 //! Integration: parallel execution is bit-identical to serial.
 //!
 //! The `vlsi-par` pool uses a *static* task→worker assignment and every
-//! parallel section in the stack (the sharded NoC tick, the fleet's
+//! parallel section in the stack (the sharded NoC tick, the cluster's
 //! chip→task mapping) commits cross-shard effects in a fixed serial
 //! order — so a run at 2 or 8 threads must reproduce the serial run
 //! byte for byte: event logs, telemetry exports, delivered lists,
@@ -14,7 +14,7 @@
 mod hotpath;
 
 use hotpath::{
-    chaos_mix, cluster_4x, compile_corpus, digest, fleet_mix, gather_release_churn, noc_storm,
+    chaos_mix, cluster_4x, cluster_mix, compile_corpus, digest, gather_release_churn, noc_storm,
     sched_acceptance, soa_sweep, staged_pipeline, ACCEPT_JOBS,
 };
 use vlsi_processor::noc::NocNetwork;
@@ -32,9 +32,9 @@ const FAULT_STORM_WORMS: usize = 240;
 /// and release builds; a change that moves a line must say which and why.
 const PINNED_DIGEST: &str = "\
 seed 2012
-fleet_64x64x4 completed 160
-fleet_64x64x4 events_fnv 0xce5cd62eb2e1ff2b
-fleet_64x64x4 telemetry_fnv 0x2103f132bda96db6
+cluster_64x64x4 completed 160
+cluster_64x64x4 events_fnv 0xce5cd62eb2e1ff2b
+cluster_64x64x4 telemetry_fnv 0x2103f132bda96db6
 noc_storm_32x32_sharded digest_fnv 0xd90ee64c4fd007bc
 accept55_fifo event_log_fnv 0xcf4554129154eef1
 chaos_mix_64x64 event_log_fnv 0x7237d56e3a78fdf4
@@ -46,8 +46,8 @@ ingest_open_loop_4x accepted 404
 ingest_open_loop_4x completed 376
 ingest_open_loop_4x digest_fnv 0xf985072a0f83e169
 compile_corpus_12 graphs 12
-compile_corpus_12 completed 24
-compile_corpus_12 digest_fnv 0xfbb6280af64ed0eb
+compile_corpus_12 completed 12
+compile_corpus_12 digest_fnv 0x914c0421495b26f3
 soa_sweep_1024ap lanes 1024
 soa_sweep_1024ap digest_soa 0x5e9c7284cd700697
 chaos_mix_128x128 event_log_fnv 0x19c6178a5ec5767b
@@ -129,11 +129,11 @@ fn sharded_noc_storm_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn fleet_mix_is_bit_identical_across_thread_counts() {
-    let serial = fleet_mix(1, 3);
-    assert!(serial.0 > 0, "the fleet must complete jobs");
+fn cluster_mix_is_bit_identical_across_thread_counts() {
+    let serial = cluster_mix(1, 3);
+    assert!(serial.0 > 0, "the cluster must complete jobs");
     for threads in THREADS {
-        assert_eq!(fleet_mix(threads, 3), serial, "{threads} threads");
+        assert_eq!(cluster_mix(threads, 3), serial, "{threads} threads");
     }
 }
 
@@ -278,14 +278,14 @@ fn cluster_chaos_run_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The compile workload — the full corpus compiled and executed on
-/// fleet and cluster sinks — produces one byte pattern at 1, 2, and 8
+/// The compile workload — the full corpus compiled and executed on a
+/// two-chip cluster — produces one byte pattern at 1, 2, and 8
 /// threads (the `compile_corpus_12` lines of the pinned digest).
 #[test]
 fn compile_corpus_digest_is_thread_invariant() {
     let (graphs_1, completed_1, digest_1) = compile_corpus(1);
     assert_eq!(graphs_1, 12);
-    assert_eq!(completed_1, 24, "12 graphs on each of two sinks");
+    assert_eq!(completed_1, 12, "every graph completes, verified");
     for threads in [2, 8] {
         let (graphs, completed, digest) = compile_corpus(threads);
         assert_eq!(graphs, graphs_1);

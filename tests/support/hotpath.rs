@@ -13,17 +13,18 @@
 //!   switches mid-run) that leans on the occupancy scans the scheduler
 //!   performs every tick; [`chaos_mix_sized`] runs the same mix at
 //!   128×128 to exercise the packed switch slab at scale.
-//! * **fleet** / **noc storm** — four independent 64×64 dies ticked on a
-//!   shared pool, and a 256-worm storm through the sharded NoC tick.
+//! * **ring** / **noc storm** — a ring cluster of four 64×64 dies, each
+//!   pinned its own job mix, ticked on a shared pool, and a 256-worm
+//!   storm through the sharded NoC tick.
 //! * **cluster** — a ring of four 32×32 dies joined by the vlsi-fabric
 //!   interconnect: chip 0 is oversubscribed so jobs migrate over real
 //!   links, and one chip dies mid-run. The digest covers the merged
 //!   event logs and telemetry.
 //! * **compile** — the 12-graph netgen corpus through every
 //!   vlsi-compile pass, then executed as staged jobs against the
-//!   netlist evaluator's reference outputs on both a two-chip fleet
-//!   and a two-chip ring cluster; the digest covers the full artifact
-//!   trail plus both sinks' event logs.
+//!   netlist evaluator's reference outputs on a two-chip ring cluster;
+//!   the digest covers the full artifact trail plus the cluster's event
+//!   logs.
 //! * **ingest** — the same 4-chip ring behind the vlsi-ingest front
 //!   door, fed an open-loop overload trace through the submission ring
 //!   while a chip dies mid-run: admission sheds typed, the client backs
@@ -57,7 +58,7 @@ use vlsi_object::{
 use vlsi_par::Pool;
 use vlsi_prng::Prng;
 use vlsi_runtime::mix::mixed_jobs;
-use vlsi_runtime::{Fifo, Fleet, JobSpec, Runtime, RuntimeConfig, RuntimeSummary, Workload};
+use vlsi_runtime::{Fifo, JobSpec, Runtime, RuntimeConfig, RuntimeSummary, Workload};
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::{Cluster, Coord};
 use vlsi_workloads::{arrival_trace, ArrivalProfile};
@@ -168,31 +169,37 @@ pub fn chaos_mix_sized(dim: u16, jobs: usize) -> (RuntimeSummary, u64) {
     (summary, fnv)
 }
 
-/// The fleet mix: `chips` independent 64×64 dies, each running its own
-/// 40-job mix (seeded `SEED + chip`), ticked on `threads` workers with a
-/// static chip→worker assignment. Returns `(completed, merged-event-log
-/// fnv, merged-telemetry fnv)` — both checksums are over fleet-wide
-/// merges in chip-index order, so they must be bit-identical at every
-/// thread count.
-pub fn fleet_mix(threads: usize, chips: usize) -> (u64, u64, u64) {
-    let mut fleet = Fleet::new(Pool::new(threads));
-    for c in 0..chips {
+/// The ring mix: a ring [`ChipCluster`] of `chips` 64×64 dies, each
+/// pinned its own 40-job mix (seeded `SEED + chip`), ticked on
+/// `threads` workers with a static chip→task assignment. Returns
+/// `(completed, merged-event-log fnv, merged-telemetry fnv)` — both
+/// checksums are over cluster-wide merges in chip-index order, so they
+/// must be bit-identical at every thread count.
+pub fn cluster_mix(threads: usize, chips: usize) -> (u64, u64, u64) {
+    let mut cluster = ChipCluster::with_telemetry(
+        ClusterTopology::ring(chips),
+        (64, 64),
+        Pool::new(threads),
+        ClusterConfig::standard(),
+        TelemetryHandle::active(),
+    );
+    for _ in 0..chips {
         let chip = VlsiChip::with_telemetry(64, 64, Cluster::default(), TelemetryHandle::active());
-        let mut rt = Runtime::new(chip, Box::new(Fifo), RuntimeConfig::default());
-        for spec in mixed_jobs(SEED + c as u64, 40) {
-            rt.submit(spec);
-        }
-        fleet.push(rt);
+        cluster.push_chip(Runtime::new(chip, Box::new(Fifo), RuntimeConfig::default()));
     }
-    let summaries = fleet.run_until_idle(500_000).expect("fleet must drain");
-    let completed = summaries.iter().map(|s| s.completed).sum();
+    for c in 0..chips {
+        for spec in mixed_jobs(SEED + c as u64, 40) {
+            cluster.submit_to(c, spec);
+        }
+    }
+    let summary = cluster.run_until_idle(500_000).expect("cluster must drain");
     let mut text = String::new();
-    for (c, e) in fleet.merged_events() {
+    for (c, e) in cluster.merged_events() {
         let _ = writeln!(text, "{c} {e:?}");
     }
     let events_fnv = fnv1a(text.as_bytes());
-    let telemetry_fnv = fnv1a(fleet.merged_telemetry().snapshot().to_json().as_bytes());
-    (completed, events_fnv, telemetry_fnv)
+    let telemetry_fnv = fnv1a(cluster.merged_telemetry().snapshot().to_json().as_bytes());
+    (summary.completed, events_fnv, telemetry_fnv)
 }
 
 /// The cluster mix: a ring of four 32×32 dies with the fabric between
@@ -345,13 +352,13 @@ pub fn ingest_open_loop(threads: usize) -> IngestOpenLoopReport {
 /// every vlsi-compile pass, then *executed* — each compiled
 /// [`StagedProgram`](vlsi_core::StagedProgram) becomes a
 /// `Workload::Staged` job with three deterministic datasets and the
-/// netlist evaluator's reference outputs attached, submitted to both a
-/// two-chip [`Fleet`] and a two-chip ring [`ChipCluster`] on a
-/// `threads`-wide pool. The runtime fails any job whose on-chip
-/// outputs diverge from the reference, so `completed` doubles as a
-/// correctness count. Returns `(graphs, completed, digest_fnv)`; the
-/// digest covers every pass's artifact dump plus both sinks' merged
-/// event logs, so it must be bit-identical at every thread count.
+/// netlist evaluator's reference outputs attached, submitted to a
+/// two-chip ring [`ChipCluster`] on a `threads`-wide pool. The runtime
+/// fails any job whose on-chip outputs diverge from the reference, so
+/// `completed` doubles as a correctness count. Returns `(graphs,
+/// completed, digest_fnv)`; the digest covers every pass's artifact
+/// dump plus the cluster's merged event logs, so it must be
+/// bit-identical at every thread count.
 pub fn compile_corpus(threads: usize) -> (u64, u64, u64) {
     use std::collections::HashMap;
     use vlsi_compile::{compile, CompileOptions};
@@ -384,30 +391,7 @@ pub fn compile_corpus(threads: usize) -> (u64, u64, u64) {
     }
     let graphs = corpus.len() as u64;
 
-    // Fleet sink: jobs alternate between two 16×16 chips.
-    let mut fleet = Fleet::new(Pool::new(threads));
-    for chip_ix in 0..2usize {
-        let chip = VlsiChip::with_telemetry(16, 16, Cluster::default(), TelemetryHandle::active());
-        let mut rt = Runtime::new(chip, Box::new(Fifo), RuntimeConfig::default());
-        for (j, spec) in jobs.iter().enumerate() {
-            if j % 2 == chip_ix {
-                rt.submit(spec.clone());
-            }
-        }
-        fleet.push(rt);
-    }
-    let summaries = fleet.run_until_idle(500_000).expect("fleet must drain");
-    let mut completed: u64 = summaries.iter().map(|s| s.completed).sum();
-    assert_eq!(
-        summaries.iter().map(|s| s.failed).sum::<u64>(),
-        0,
-        "compiled programs must match the netlist evaluator on the fleet"
-    );
-    for (c, e) in fleet.merged_events() {
-        let _ = writeln!(text, "fleet {c} {e:?}");
-    }
-
-    // Cluster sink: the same jobs over the fabric, two-chip ring.
+    // The jobs alternate between the two chips of a 16×16 ring.
     let mut cluster = ChipCluster::with_telemetry(
         ClusterTopology::ring(2),
         (16, 16),
@@ -427,12 +411,11 @@ pub fn compile_corpus(threads: usize) -> (u64, u64, u64) {
         summary.failed, 0,
         "compiled programs must match the netlist evaluator on the cluster"
     );
-    completed += summary.completed;
     for (c, e) in cluster.merged_events() {
         let _ = writeln!(text, "cluster {c} {e:?}");
     }
 
-    (graphs, completed, fnv1a(text.as_bytes()))
+    (graphs, summary.completed, fnv1a(text.as_bytes()))
 }
 
 /// A 256-worm storm on a 32×32 mesh ticked through the *sharded* NoC
@@ -689,7 +672,7 @@ pub fn staged_pipeline(threads: usize, datasets: usize) -> StagedPipelineReport 
 /// and at every commit that does not mean to move a digest;
 /// `tests/parallel_determinism.rs` pins it.
 pub fn digest(threads: usize) -> String {
-    let (completed, events_fnv, telemetry_fnv) = fleet_mix(threads, 4);
+    let (completed, events_fnv, telemetry_fnv) = cluster_mix(threads, 4);
     let storm = noc_storm(threads);
     let (_, accept_fnv) = sched_acceptance();
     let (_, chaos_fnv) = chaos_mix();
@@ -701,9 +684,9 @@ pub fn digest(threads: usize) -> String {
     let pipe = staged_pipeline(threads, PIPELINE_DATASETS);
     format!(
         "seed {SEED}\n\
-         fleet_64x64x4 completed {completed}\n\
-         fleet_64x64x4 events_fnv {events_fnv:#018x}\n\
-         fleet_64x64x4 telemetry_fnv {telemetry_fnv:#018x}\n\
+         cluster_64x64x4 completed {completed}\n\
+         cluster_64x64x4 events_fnv {events_fnv:#018x}\n\
+         cluster_64x64x4 telemetry_fnv {telemetry_fnv:#018x}\n\
          noc_storm_32x32_sharded digest_fnv {storm:#018x}\n\
          accept55_fifo event_log_fnv {accept_fnv:#018x}\n\
          chaos_mix_64x64 event_log_fnv {chaos_fnv:#018x}\n\

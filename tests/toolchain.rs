@@ -78,42 +78,6 @@ fn optimizer_preserves_scalar_semantics_end_to_end() {
 }
 
 #[test]
-fn advice_sizes_a_processor_that_actually_runs_the_stream() {
-    // The §1 methodology end to end: size the request from the stream,
-    // gather exactly that many clusters, and the datapath streams.
-    use vlsi_processor::ap::advise;
-    use vlsi_processor::core::VlsiChip;
-    use vlsi_processor::topology::Cluster;
-    use vlsi_processor::workloads::StreamKernel;
-
-    let kernel = StreamKernel::wide_tree(6, 1, 8);
-    let memory_ids = [StreamKernel::LOAD_ID, StreamKernel::STORE_ID];
-    let advice = advise(&kernel.stream, &memory_ids);
-    assert_eq!(advice.compute_objects, kernel.compute_working_set());
-
-    let cluster = Cluster::default();
-    let clusters = advice.clusters(cluster.compute_objects, cluster.memory_objects);
-    let mut chip = VlsiChip::new(8, 8, cluster);
-    let id = chip.gather_any(clusters).unwrap().id;
-    // The gathered processor holds at least the advised resources.
-    let cfg = *chip.processor(id).unwrap().ap.config();
-    assert!(cfg.compute_objects >= advice.compute_objects);
-    assert!(cfg.memory_objects >= advice.memory_objects);
-
-    chip.install(id, kernel.objects.clone()).unwrap();
-    for i in 0..8u64 {
-        chip.write_mailbox(id, 0, i, &[Word(i + 1)]).unwrap();
-    }
-    chip.activate(id).unwrap();
-    chip.configure(id, kernel.stream.clone()).unwrap();
-    chip.execute(id, 0, 1_000_000).unwrap();
-    chip.deactivate(id).unwrap();
-    let got = chip.read_mailbox(id, 1, 0, 8).unwrap();
-    let expect = StreamKernel::wide_tree_reference(6, 1, &(1..=8).collect::<Vec<_>>());
-    assert_eq!(got.iter().map(|w| w.as_u64()).collect::<Vec<_>>(), expect);
-}
-
-#[test]
 fn optimizer_reduces_misses_on_small_arrays() {
     // The §2.7 payoff: shorter dependency distances mean fewer object
     // cache misses at a given capacity. Compare virtual-hardware miss
