@@ -20,10 +20,11 @@ echo "== cargo test -q"
 # x 3 arrival profiles x chip-down storm).
 cargo test -q --workspace --offline
 
-echo "== property tests, --release (placement: the only guard on relocate's early return; the gather plan vs sequential gather_any, a refused deploy leaves no trace, a failed commit releases everything; block programs vs the interpreter; stream programs vs the single-AP run; the mask engine vs the Option-latch reference; the slot-table stream optimizer vs the HashMap reference; sequential-fill partition vs the scored reference)"
+echo "== property tests, --release (placement: the only guard on relocate's early return; the gather plan vs sequential gather_any, the compaction plan vs ID-order relocation then the gather plan, a refused deploy leaves no trace, a failed commit releases everything; block programs vs the interpreter; stream programs vs the single-AP run; the mask engine vs the Option-latch reference; the slot-table stream optimizer vs the HashMap reference; sequential-fill partition vs the scored reference)"
 cargo test -q --offline --release -p vlsi-core -p vlsi-ap -p vlsi-workloads -p vlsi-compile --lib --test properties -- \
   relocation_matches_the_always_reprogram_reference free_space_cache_matches_a_fresh_finder \
-  plan_matches_sequential_gather_any a_refused_deploy_leaves_no_trace \
+  plan_matches_sequential_gather_any compaction_plan_matches_compact_then_plan_gathers \
+  a_refused_deploy_leaves_no_trace \
   a_failed_commit_releases_every_gathered_region \
   structured_programs_match_the_interpreter mask_engine_matches_the_option_latch_reference \
   slot_tables_match_the_hashmap_reference matches_the_scored_reference_on_generated_graphs \
@@ -41,6 +42,13 @@ echo "== core.gathers vs admitted regions (contended staged run: every gather is
 # more gathers than the log has admitted regions.
 cargo test -q --offline --test runtime_scheduler \
   gathers_in_a_contended_staged_run_are_all_used -- --nocapture | grep "core.gathers"
+
+echo "== core.compactions vs admissions (contended staged run: every compaction admits)"
+# A runtime that compacts on fragmentation alone logs compactions whose
+# retry then backs off.
+cargo test -q --offline --test runtime_scheduler \
+  compactions_in_a_contended_staged_run_are_all_followed_by_an_admission -- --nocapture \
+  | grep "core.compactions"
 
 echo "== cargo build --release (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build -q --release --offline --workspace

@@ -24,6 +24,7 @@ use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::switch::RegionTag;
 use vlsi_topology::{
     Cluster, ClusterGrid, Coord, Dir, FabricIndex, Region, RegionFinder, SwitchFabric, SwitchState,
+    TopologyError,
 };
 
 /// How configuration data reaches the region's switches (§3.3 leaves the
@@ -73,6 +74,84 @@ pub struct GatherOutcome {
     pub switch_stores: u64,
 }
 
+/// What [`VlsiChip::plan_compaction`] found: the compaction that lets a
+/// list of requests fit.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct CompactionPlan {
+    /// The processors [`VlsiChip::compact`] moves, in ID order, each with
+    /// its destination.
+    pub moves: Vec<(ProcessorId, Region)>,
+    /// The regions the requests then take, in request order — what
+    /// [`VlsiChip::plan_gathers`] answers on the compacted die.
+    pub gathers: Vec<Region>,
+}
+
+/// A cell of the flat occupancy copy compaction is replayed on: the
+/// owner's tag, or one of these two sentinels (tags are processor IDs,
+/// which never reach them).
+const FREE: u32 = u32::MAX;
+const DEFECT: u32 = u32::MAX - 1;
+
+/// How one cluster looks to the processor being relocated.
+#[derive(PartialEq, Eq)]
+enum Seen {
+    Free,
+    /// Held by this processor and healthy.
+    Own,
+    /// Held by another processor, or defective.
+    Taken,
+}
+
+/// How a cell of the occupancy slab looks to the processor tagged `tag`.
+fn seen_by(tag: u32, cell: u32) -> Seen {
+    match cell {
+        FREE => Seen::Free,
+        t if t == tag => Seen::Own,
+        _ => Seen::Taken,
+    }
+}
+
+/// What the allocator does with a processor being relocated.
+enum Relocation {
+    /// Its preferred region is the one it holds — or no region fits
+    /// anywhere and its own is healthy.
+    Stay,
+    /// It moves to this region.
+    Move(Region),
+    /// No region fits and this cell of its own is defective.
+    Nowhere(Coord),
+}
+
+/// The relocation rule: the allocator is asked for the processor's size
+/// over "free clusters plus its own healthy ones". The one allocator
+/// choice [`VlsiChip::relocate`] (on the occupancy as it is) and the
+/// compaction replay (on the occupancy the earlier moves leave) share.
+fn relocation(grid: &ClusterGrid, region: &Region, seen: impl Fn(Coord) -> Seen) -> Relocation {
+    let finder = RegionFinder::new(grid, |c| seen(c) != Seen::Taken);
+    match finder.find_cells(region.len()) {
+        // The found cells are all its own: they are exactly its region.
+        Some(to) if to.clone().all(|c| seen(c) == Seen::Own) => Relocation::Stay,
+        Some(to) => Relocation::Move(Region::new(to)),
+        None => match region.cells().find(|&c| seen(c) != Seen::Own) {
+            Some(c) => Relocation::Nowhere(c),
+            None => Relocation::Stay,
+        },
+    }
+}
+
+/// One replay of [`VlsiChip::compact`] and the state it was replayed on.
+#[derive(Debug)]
+struct Replay {
+    generation: u64,
+    inactive: Vec<ProcessorId>,
+    moves: Vec<(ProcessorId, Region)>,
+    /// The occupancy the moves leave, row-major: [`FREE`], [`DEFECT`] or
+    /// the owner's tag per cell.
+    after: Vec<u32>,
+    /// The free-space snapshot of `after`.
+    finder: RegionFinder,
+}
+
 /// The chip.
 ///
 /// ```
@@ -110,10 +189,10 @@ pub struct VlsiChip {
     /// [`Self::gather_any`]), tagged with the [`FabricIndex::generation`]
     /// it was swept at and rebuilt only when that has moved on.
     free_space: RefCell<Option<(u64, RegionFinder)>>,
-    /// The occupancy generation and inactive-processor set of the last
-    /// [`Self::compact`] that moved nothing: asking again before either
-    /// changes would re-derive "everyone stays".
-    settled: Option<(u64, Vec<ProcessorId>)>,
+    /// The layout [`Self::compact`] would leave, replayed on a flat copy
+    /// of the occupancy for the generation and Inactive set it is tagged
+    /// with: asking again before either changes costs one fit check.
+    compaction: RefCell<Option<Replay>>,
     supervisor: Coord,
     next_id: u32,
     strategy: ConfigStrategy,
@@ -192,7 +271,7 @@ impl VlsiChip {
             processors: BTreeMap::new(),
             index: FabricIndex::new(width, height),
             free_space: RefCell::new(None),
-            settled: None,
+            compaction: RefCell::new(None),
             supervisor: Coord::new(0, 0),
             next_id: 1,
             strategy: ConfigStrategy::default(),
@@ -438,14 +517,18 @@ impl VlsiChip {
             } else {
                 None
             };
+            let hop = |a: Coord, b: Coord| {
+                a.dir_to(b)
+                    .ok_or(CoreError::Topology(TopologyError::NotAdjacent(a, b)))
+            };
             let mut program = SwitchState::default();
             if let Some(p) = prev {
-                let d = p.dir_to(c).expect("fold hops are adjacent");
+                let d = hop(p, c)?;
                 program.shift_in = Some(d.opposite());
                 program.chained[d.opposite().index()] = true;
             }
             if let Some(n) = next {
-                let d = c.dir_to(n).expect("fold hops are adjacent");
+                let d = hop(c, n)?;
                 program.shift_out = Some(d);
                 program.chained[d.index()] = true;
             }
@@ -517,19 +600,22 @@ impl VlsiChip {
     }
 
     /// Applies one delivered configuration word: store the reservation
-    /// flag, then the switch registers. A conflict rolls back everything
-    /// this gather programmed.
+    /// flag, then the switch registers. A refused store rolls back
+    /// everything this gather programmed.
     fn apply_worm(&mut self, dest: Coord, word: u64, tag: RegionTag) -> Result<(), CoreError> {
         let program = decode_program(word);
-        if let Err(e) = self.fabric.reserve(dest, tag) {
+        let stored = match self.fabric.reserve(dest, tag) {
+            Ok(()) => {
+                self.index.set_owner(dest, tag);
+                self.fabric.apply_program(dest, tag, program)
+            }
+            Err(e) => Err(e),
+        };
+        if let Err(e) = stored {
             self.fabric.release_owner(tag);
             self.index.release_owner(tag);
             return Err(CoreError::Topology(e));
         }
-        self.index.set_owner(dest, tag);
-        self.fabric
-            .apply_program(dest, tag, program)
-            .expect("just reserved");
         Ok(())
     }
 
@@ -549,80 +635,168 @@ impl VlsiChip {
     /// NoC would measure again). Otherwise only this processor's
     /// switches are released and re-programmed at the new site. A defect
     /// under the region always makes the answer differ, so it always
-    /// moves (or fails typed when nowhere else fits).
+    /// moves — or, when nowhere else fits, fails typed
+    /// ([`CoreError::DefectiveCluster`]) with nothing released.
     pub fn relocate(&mut self, id: ProcessorId) -> Result<GatherOutcome, CoreError> {
         self.require_state(id, ProcState::Inactive)?;
         let p = self.processor(id)?;
-        let ring = p.ring;
-        let tag = RegionTag(id.0);
-        let found = vlsi_topology::alloc::find_region(&self.grid, p.region.len(), |c| {
-            self.index.is_free(c) || (self.index.owner(c) == Some(tag) && !self.is_defective(c))
-        });
-        let stays = match &found {
-            Some(region) => *region == p.region,
-            // None of the allocator's shapes fits anywhere: a healthy
-            // (hand-shaped) region is kept as it is.
-            None => !p.region.cells().any(|c| self.is_defective(c)),
-        };
-        if stays {
-            return Ok(GatherOutcome {
+        let slab = self.occupancy();
+        match relocation(&self.grid, &p.region, |c| seen_by(id.0, slab[self.slot(c)])) {
+            Relocation::Stay => Ok(GatherOutcome {
                 id,
                 worms: 0,
                 config_latency: p.config_latency,
                 switch_stores: 0,
-            });
+            }),
+            Relocation::Nowhere(c) => Err(CoreError::DefectiveCluster(c)),
+            Relocation::Move(to) => self.move_processor(id, to),
         }
-        let old_region = p.region.clone();
-        let region = found.unwrap_or_else(|| old_region.clone());
+    }
+
+    /// Releases `id`'s switches and re-programs them at `to`. If that
+    /// fails, the old site's switches and index entries are written back
+    /// as they were, so the processor still owns every cell it lists.
+    fn move_processor(&mut self, id: ProcessorId, to: Region) -> Result<GatherOutcome, CoreError> {
+        let p = self.processor(id)?;
+        let ring = p.ring;
+        let tag = RegionTag(id.0);
+        let old: Vec<(Coord, SwitchState)> = p
+            .region
+            .cells()
+            .map(|c| (c, self.fabric.state(c)))
+            .filter(|(_, s)| s.reserved_by == Some(tag))
+            .collect();
         self.fabric.release_owner(tag);
         self.index.release_owner(tag);
-        match self.program_region(&region, ring, id) {
+        match self.program_region(&to, ring, id) {
             Ok((fold, outcome)) => {
                 self.telemetry.count("core.relocations", 1);
                 self.telemetry
                     .record("core.scaling_latency", outcome.config_latency);
                 let p = self.processor_mut(id)?;
-                p.region = region;
+                p.region = to;
                 p.fold = fold;
                 p.config_latency = outcome.config_latency;
                 Ok(outcome)
             }
             Err(e) => {
-                // Roll back to the original placement.
-                let (fold, _) = self.program_region(&old_region, ring, id)?;
-                let p = self.processor_mut(id)?;
-                p.region = old_region;
-                p.fold = fold;
+                self.fabric.release_owner(tag);
+                self.index.release_owner(tag);
+                for (c, state) in old {
+                    self.fabric.restore(c, state);
+                    self.index.set_owner(c, tag);
+                }
                 Err(e)
             }
         }
     }
 
-    /// Relocates every inactive processor (in ID order) to tighten the
-    /// free space. Returns how many processors moved. When the previous
-    /// compaction moved nothing and neither the occupancy nor the set of
-    /// inactive processors has changed since, every answer would be
-    /// "stay" again: the call is counted and returns 0 without asking.
-    pub fn compact(&mut self) -> usize {
-        let ids: Vec<ProcessorId> = self
+    /// Row-major position of `c` on the die.
+    fn slot(&self, c: Coord) -> usize {
+        usize::from(c.y) * usize::from(self.grid.width()) + usize::from(c.x)
+    }
+
+    /// The occupancy index as a flat row-major slab: [`FREE`],
+    /// [`DEFECT`] or the owner's tag per cell.
+    fn occupancy(&self) -> Vec<u32> {
+        let (w, h) = (self.grid.width(), self.grid.height());
+        (0..h)
+            .flat_map(|y| (0..w).map(move |x| Coord::new(x, y)))
+            .map(|c| match self.index.owner(c) {
+                _ if self.index.is_defective(c) => DEFECT,
+                None => FREE,
+                Some(tag) => tag.0,
+            })
+            .collect()
+    }
+
+    /// Replays [`Self::compact`] on a flat copy of the occupancy: each
+    /// processor in `inactive` (ID order) gets [`relocation`]'s answer on
+    /// the copy as the moves before it left it, and a mover's cells are
+    /// handed over at once. A processor with nowhere to go stays.
+    fn replay_compaction(&self, generation: u64, inactive: Vec<ProcessorId>) -> Replay {
+        let mut after = self.occupancy();
+        let mut moves = Vec::new();
+        for p in inactive.iter().filter_map(|id| self.processors.get(id)) {
+            let tag = p.id.0;
+            let seen = |c| seen_by(tag, after[self.slot(c)]);
+            if let Relocation::Move(to) = relocation(&self.grid, &p.region, seen) {
+                for c in p.region.cells() {
+                    if after[self.slot(c)] == tag {
+                        after[self.slot(c)] = FREE;
+                    }
+                }
+                for c in to.cells() {
+                    after[self.slot(c)] = tag;
+                }
+                moves.push((p.id, to));
+            }
+        }
+        let finder = RegionFinder::new(&self.grid, |c| after[self.slot(c)] == FREE);
+        Replay {
+            generation,
+            inactive,
+            moves,
+            after,
+            finder,
+        }
+    }
+
+    /// Runs `probe` on the compaction replay for the current occupancy
+    /// generation and Inactive set, replaying first only if either
+    /// changed since the last probe.
+    fn with_replay<R>(&self, probe: impl FnOnce(&Replay) -> R) -> R {
+        let inactive: Vec<ProcessorId> = self
             .processors
             .values()
             .filter(|p| p.state == ProcState::Inactive)
             .map(|p| p.id)
             .collect();
-        self.telemetry.count("core.compactions", 1);
         let generation = self.index.generation();
-        if matches!(&self.settled, Some((at, who)) if *at == generation && *who == ids) {
-            return 0;
+        let mut slot = self.compaction.borrow_mut();
+        let replay = match slot.take() {
+            Some(r) if r.generation == generation && r.inactive == inactive => r,
+            _ => self.replay_compaction(generation, inactive),
+        };
+        probe(slot.insert(replay))
+    }
+
+    /// Whether compacting the die would let one [`gather_any`](Self::gather_any)
+    /// per entry of `sizes` succeed, in order — a read-only probe. The
+    /// answer is the processors [`compact`](Self::compact) would move
+    /// with their destinations, and the regions the requests would then
+    /// take; or `None` when those requests would fail even on the
+    /// compacted die. The compaction is replayed on a flat copy of the
+    /// occupancy index and remembered for the occupancy generation and
+    /// Inactive set it was replayed at, so asking again before either
+    /// changes costs only the fit check; `compact` commits that replay.
+    pub fn plan_compaction(&self, sizes: &[usize]) -> Option<CompactionPlan> {
+        self.with_replay(|replay| {
+            let free = |c| replay.after[self.slot(c)] == FREE;
+            let gathers = self.fit_in_turn(&replay.finder, free, sizes)?;
+            Some(CompactionPlan {
+                moves: replay.moves.clone(),
+                gathers,
+            })
+        })
+    }
+
+    /// Relocates every inactive processor, in ID order, to tighten the
+    /// free space; returns how many moved. The moves are those of the
+    /// replay [`plan_compaction`](Self::plan_compaction) answers from, so
+    /// only the movers are touched: a processor that stays is neither
+    /// released nor re-programmed. A move that fails is rolled back and
+    /// ends the pass, since the moves after it were planned around it.
+    pub fn compact(&mut self) -> usize {
+        self.telemetry.count("core.compactions", 1);
+        let moves = self.with_replay(|replay| replay.moves.clone());
+        let mut moved = 0;
+        for (id, to) in moves {
+            if self.move_processor(id, to).is_err() {
+                break;
+            }
+            moved += 1;
         }
-        let moved = ids
-            .iter()
-            .filter(|&&id| self.relocate(id).is_ok_and(|outcome| outcome.worms > 0))
-            .count();
-        // A failed relocation releases and re-programs, so the generation
-        // has moved on and the pass does not count as settled.
-        self.settled =
-            (moved == 0 && self.index.generation() == generation).then_some((generation, ids));
         moved
     }
 
@@ -650,22 +824,35 @@ impl VlsiChip {
         if sizes.iter().sum::<usize>() > self.free_clusters() {
             return None;
         }
-        let width = usize::from(self.grid.width());
-        let slot = |c: Coord| usize::from(c.y) * width + usize::from(c.x);
+        self.with_free_space(|finder| self.fit_in_turn(finder, |c| self.index.is_free(c), sizes))
+    }
+
+    /// Sequential fit of `sizes` into the free set `free`, of which
+    /// `first` is the snapshot: the first size is answered by `first`,
+    /// each later one by a sweep of `free` minus the cells already
+    /// planned.
+    fn fit_in_turn(
+        &self,
+        first: &RegionFinder,
+        free: impl Fn(Coord) -> bool,
+        sizes: &[usize],
+    ) -> Option<Vec<Region>> {
+        if sizes.iter().sum::<usize>() > first.free_total() {
+            return None;
+        }
         // Cells of the regions planned so far, as a mask over the die.
         let mut taken: Vec<bool> = Vec::new();
         let mut planned: Vec<Region> = Vec::with_capacity(sizes.len());
         for (i, &clusters) in sizes.iter().enumerate() {
             let region = if i == 0 {
-                self.with_free_space(|free| free.find(clusters))?
+                first.find(clusters)?
             } else {
-                let free = |c| self.index.is_free(c) && !taken[slot(c)];
-                RegionFinder::new(&self.grid, free).find(clusters)?
+                RegionFinder::new(&self.grid, |c| free(c) && !taken[self.slot(c)]).find(clusters)?
             };
             if i + 1 < sizes.len() {
                 taken.resize(self.total_clusters(), false);
                 for c in region.cells() {
-                    taken[slot(c)] = true;
+                    taken[self.slot(c)] = true;
                 }
             }
             planned.push(region);
@@ -996,7 +1183,6 @@ impl VlsiChip {
     /// `.` free, `#` defective, `a`–`z`/`A`–`Z` the owning processor
     /// (by ID modulo 52). For examples and debugging.
     pub fn layout_text(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         for y in 0..self.grid.height() {
             for x in 0..self.grid.width() {
@@ -1018,7 +1204,7 @@ impl VlsiChip {
                 };
                 out.push(ch);
             }
-            writeln!(out).unwrap();
+            out.push('\n');
         }
         out
     }
@@ -1829,11 +2015,19 @@ mod tests {
             let p = self.processor(id)?;
             let (ring, old_region) = (p.ring, p.region.clone());
             let tag = RegionTag(id.0);
-            self.fabric.release_owner(tag);
-            self.index.release_owner(tag);
             let found = vlsi_topology::alloc::find_region(&self.grid, old_region.len(), |c| {
                 self.index.is_free(c)
+                    || (self.index.owner(c) == Some(tag) && !self.index.is_defective(c))
             });
+            // Nowhere to go from under a defect: refused before anything
+            // is released.
+            if found.is_none() {
+                if let Some(c) = old_region.cells().find(|&c| self.is_defective(c)) {
+                    return Err(CoreError::DefectiveCluster(c));
+                }
+            }
+            self.fabric.release_owner(tag);
+            self.index.release_owner(tag);
             let region = found.unwrap_or_else(|| old_region.clone());
             match self.program_region(&region, ring, id) {
                 Ok((fold, outcome)) => {
@@ -2061,6 +2255,167 @@ mod tests {
                 .collect();
             proptest::prop_assert_eq!(plan, taken.ok(), "sizes {:?}", sizes);
         }
+    }
+
+    /// The same history on two chips: one asks for the compaction plan
+    /// and then compacts, the other relocates its Inactive processors
+    /// one by one in ID order — what `compact` means. The plan names the
+    /// second chip's movers and destinations, and its gathers are what
+    /// `plan_gathers` answers there; `None` exactly when that is `None`.
+    /// Both chips end in the same placement.
+    fn compaction_plan_case(side: u16, ops: &[(u8, u16, u16)], sizes: &[usize]) {
+        let replayed = || {
+            let mut chip = VlsiChip::new(side, side, Cluster::default());
+            let mut live = Vec::new();
+            for &op in ops {
+                placement_step(
+                    &mut chip,
+                    &mut live,
+                    op,
+                    VlsiChip::relocate,
+                    VlsiChip::compact,
+                );
+            }
+            chip
+        };
+        let (mut subject, mut reference) = (replayed(), replayed());
+        let plan = subject.plan_compaction(sizes);
+        subject.compact();
+
+        let regions = |c: &VlsiChip| -> Vec<(ProcessorId, Region)> {
+            c.processors().map(|p| (p.id, p.region.clone())).collect()
+        };
+        let before = regions(&reference);
+        let inactive: Vec<ProcessorId> = reference
+            .processors()
+            .filter(|p| p.state == ProcState::Inactive)
+            .map(|p| p.id)
+            .collect();
+        for id in inactive {
+            let _ = reference.relocate(id);
+        }
+        let moves: Vec<(ProcessorId, Region)> = regions(&reference)
+            .into_iter()
+            .filter(|moved| !before.contains(moved))
+            .collect();
+        let expect = reference
+            .plan_gathers(sizes)
+            .map(|gathers| CompactionPlan { moves, gathers });
+        assert_eq!(plan, expect, "sizes {sizes:?} after {ops:?}");
+        assert_eq!(subject.placement_image(), reference.placement_image());
+    }
+
+    proptest::proptest! {
+        /// On the occupancies the placement histories leave behind, the
+        /// plan's verdict and layout are those of relocating every
+        /// Inactive processor in ID order and then planning the gathers.
+        #[test]
+        fn compaction_plan_matches_compact_then_plan_gathers(
+            side in 8u16..=16,
+            ops in placement_ops(),
+            sizes in proptest::prop::collection::vec(0usize..40, 1..6),
+        ) {
+            compaction_plan_case(side, &ops, &sizes);
+        }
+    }
+
+    #[test]
+    fn a_plan_is_replayed_once_per_generation_and_inactive_set() {
+        let mut c = chip();
+        let ids: Vec<_> = (0..4u16)
+            .map(|i| {
+                c.gather(Region::rect(Coord::new(i * 2, i * 2), 2, 2))
+                    .unwrap()
+                    .id
+            })
+            .collect();
+        c.release_processor(ids[0]).unwrap();
+        c.release_processor(ids[2]).unwrap();
+        let plan = c
+            .plan_compaction(&[16])
+            .expect("compaction makes room for 4x4");
+        assert_eq!(plan.moves.len(), 2, "{plan:?}");
+        // Asked again at the same generation and Inactive set, the
+        // remembered replay answers: a marked replay shows through.
+        let mark = |c: &VlsiChip| c.compaction.borrow_mut().as_mut().unwrap().moves.clear();
+        mark(&c);
+        assert_eq!(c.plan_compaction(&[16]).map(|p| p.moves), Some(Vec::new()));
+        assert_eq!(c.plan_compaction(&[64]), None, "more than is free");
+        // An activation moves no generation but changes the Inactive set:
+        // the chip replays, and the active processor stays put.
+        let first = plan.moves[0].0;
+        c.activate(first).unwrap();
+        let narrower = c.plan_compaction(&[16]).map(|p| p.moves);
+        assert!(narrower.is_none_or(|moves| moves.iter().all(|(id, _)| *id != first)));
+        c.deactivate(first).unwrap();
+        assert_eq!(c.plan_compaction(&[16]), Some(plan.clone()));
+        // The commit moves exactly the planned processors there.
+        assert_eq!(c.compact(), 2);
+        for (id, to) in &plan.moves {
+            assert_eq!(&c.processor(*id).unwrap().region, to);
+        }
+        assert_eq!(c.plan_gathers(&[16]), Some(plan.gathers));
+    }
+
+    /// A fully gathered 4×4 die, then a defect under the 12-cluster
+    /// processor: it has nowhere to go. The relocation is refused typed
+    /// and the processor keeps every cell it lists.
+    #[test]
+    fn a_relocation_with_nowhere_to_go_releases_nothing() {
+        let mut c = VlsiChip::new(4, 4, Cluster::default());
+        let big = c.gather_any(12).unwrap().id;
+        let small = c.gather_any(4).unwrap().id;
+        assert_eq!(c.free_clusters(), 0);
+        let hit = Coord::new(1, 1);
+        assert_eq!(c.processor_at(hit), Some(big));
+        c.mark_defective(hit);
+        let before = c.placement_image();
+        assert_eq!(
+            c.relocate(big).unwrap_err(),
+            CoreError::DefectiveCluster(hit)
+        );
+        assert_eq!(
+            c.placement_image(),
+            before,
+            "nothing released or programmed"
+        );
+        let p = c.processor(big).unwrap();
+        assert!(p
+            .region
+            .cells()
+            .all(|cell| c.processor_at(cell) == Some(big)));
+        assert_eq!(c.free_clusters(), 0);
+        assert!(
+            c.gather_any(4).is_err(),
+            "no cell of the processor is handed out"
+        );
+        // A compaction treats it as staying, and moves nobody.
+        assert_eq!(c.plan_compaction(&[1]), None);
+        assert_eq!(c.compact(), 0);
+        assert_eq!(c.placement_image(), before);
+        c.release_processor(small).unwrap();
+    }
+
+    /// A move whose re-program is refused — here by a reservation the
+    /// index does not know about — writes the old site back.
+    #[test]
+    fn a_failed_move_restores_the_old_site() {
+        let mut c = chip();
+        let pin = c.gather(Region::rect(Coord::new(0, 0), 2, 2)).unwrap().id;
+        let id = c.gather(Region::rect(Coord::new(4, 4), 2, 2)).unwrap().id;
+        c.mark_defective(Coord::new(5, 5));
+        c.release_processor(pin).unwrap();
+        c.fabric.reserve(Coord::new(1, 1), RegionTag(999)).unwrap();
+        let before = c.placement_image();
+        let err = c.relocate(id).unwrap_err();
+        assert!(matches!(err, CoreError::Topology(_)), "{err}");
+        assert_eq!(c.placement_image(), before, "old site written back");
+        let p = c.processor(id).unwrap();
+        assert!(p
+            .region
+            .cells()
+            .all(|cell| c.processor_at(cell) == Some(id)));
+        assert_eq!(c.free_clusters(), 64 - 4);
     }
 
     #[test]

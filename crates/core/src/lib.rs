@@ -27,6 +27,8 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod chip;
 pub mod error;
@@ -35,7 +37,7 @@ pub mod scaled;
 pub mod staged;
 pub mod state;
 
-pub use chip::{ChipMetrics, ConfigStrategy, GatherOutcome, VlsiChip};
+pub use chip::{ChipMetrics, CompactionPlan, ConfigStrategy, GatherOutcome, VlsiChip};
 pub use error::CoreError;
 pub use scaled::{ProcessorId, ScaledProcessor};
 pub use staged::{PipelineRunStats, StagedExecutor, StagedProgram, StagedStage};

@@ -19,7 +19,7 @@
 //! path all produce byte-identical lanes. The ci.sh thread-matrix gate
 //! (`soa_sweep` digest at 1/2/8 threads) holds this to one byte pattern.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use vlsi_ap::SoaLane;
 use vlsi_par::Pool;
 
@@ -45,7 +45,9 @@ pub fn sweep_lanes(pool: &Pool, lanes: &mut [SoaLane], tap_limit: u64, max_cycle
     let per = lanes.len().div_ceil(stripes);
     let chunks: Vec<Mutex<&mut [SoaLane]>> = lanes.chunks_mut(per).map(Mutex::new).collect();
     pool.run(chunks.len(), &|i| {
-        let mut stripe = chunks[i].lock().expect("stripe lock");
+        // Each stripe is locked once, by its own task, so the lock is
+        // never found poisoned.
+        let mut stripe = chunks[i].lock().unwrap_or_else(PoisonError::into_inner);
         sweep_stripe(&mut stripe);
     });
 }

@@ -312,6 +312,9 @@ fn lower_block(index: usize, block: &BasicBlock, guard: Option<(String, bool)>) 
             &mut objects,
             LocalConfig::with_imm(Operation::Const, Word(0)),
         );
+        // Invariant: `BlockDatapath::compile` emits an object for every
+        // live-in it lists.
+        #[allow(clippy::expect_used)]
         let obj = objects
             .iter_mut()
             .find(|o| o.id == const_id)

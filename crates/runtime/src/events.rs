@@ -51,7 +51,8 @@ pub enum EventKind {
         /// Tick of the next attempt.
         retry_at: u64,
     },
-    /// Fragmentation pressure triggered a chip-wide compaction.
+    /// Fragmentation stood in the way of a request the compaction plan
+    /// says fits afterwards: the chip compacted, and the retry follows.
     Compacted {
         /// Processors that moved.
         moved: usize,

@@ -13,7 +13,8 @@
 //!   budget.
 //! * **Admission** checks the request against the chip's free clusters,
 //!   plans one region per stage, retries with exponential backoff, and
-//!   compacts the die when fragmentation is what stands in the way.
+//!   compacts the die when fragmentation is what stands in the way and
+//!   the chip's compaction plan says the retry then fits.
 //! * **Policies** ([`SchedPolicy`]) decide ordering only: [`Fifo`],
 //!   [`Priority`], and [`SmallestFitBackfill`] ship; Ablation I
 //!   (`tests/ablations.rs`) compares them on the same job mix.

@@ -700,20 +700,14 @@ impl Runtime {
                 program,
                 datasets,
                 expected,
-            } => self.admit_staged(
-                job_id,
-                clusters,
-                attempts,
-                program,
-                datasets,
-                expected.as_deref(),
-            ),
+            } => self.admit_staged(job_id, attempts, program, datasets, expected.as_deref()),
         }
     }
 
     /// When a gather fails and [`VlsiChip::fragmentation`] exceeds this
-    /// while enough total free clusters exist, the runtime compacts and
-    /// retries once before backing off.
+    /// while enough total free clusters exist, the runtime asks whether a
+    /// compaction would make the request fit; only then does it compact
+    /// and retry once before backing off.
     const COMPACT_THRESHOLD: f64 = 0.35;
 
     /// Backoff after a failed gather: attempt `n` waits
@@ -723,12 +717,17 @@ impl Runtime {
     /// Upper bound on the backoff delay, in ticks.
     const BACKOFF_CAP: u64 = 64;
 
-    /// Gather failed: compact if fragmentation pressure warrants a retry
-    /// (caller retries once when this returns `true`), otherwise the
-    /// caller backs off or fails the job.
-    fn compact_for(&mut self, clusters: usize) -> bool {
+    /// Gather failed: compact when fragmentation pressure is high and the
+    /// chip's compaction plan ([`VlsiChip::plan_compaction`]) says a
+    /// region per entry of `sizes` then fits (caller retries once when
+    /// this returns `true`). Otherwise nothing moves and the caller backs
+    /// off or fails the job.
+    fn compact_for(&mut self, sizes: &[usize]) -> bool {
         let frag = self.chip.fragmentation();
-        if frag <= Self::COMPACT_THRESHOLD || self.chip.free_clusters() < clusters {
+        if frag <= Self::COMPACT_THRESHOLD
+            || self.chip.free_clusters() < sizes.iter().sum()
+            || self.chip.plan_compaction(sizes).is_none()
+        {
             return false;
         }
         let moved = self.chip.compact();
@@ -798,7 +797,7 @@ impl Runtime {
             Some(pid) => Some((pid, 0, true)),
             None => match self.chip.gather_any(clusters) {
                 Ok(o) => Some((o.id, o.config_latency, false)),
-                Err(_) if self.compact_for(clusters) => self
+                Err(_) if self.compact_for(&[clusters]) => self
                     .chip
                     .gather_any(clusters)
                     .ok()
@@ -818,7 +817,6 @@ impl Runtime {
     fn admit_staged(
         &mut self,
         job_id: JobId,
-        clusters: usize,
         attempts: u32,
         program: &StagedProgram,
         datasets: &[HashMap<String, i64>],
@@ -836,8 +834,11 @@ impl Runtime {
         // Deployed by reference: the executor borrows the queued program
         // (the deploy rolls back its own partial gathers on failure).
         let exec = match warm.or_else(|| StagedExecutor::deploy(&mut self.chip, program).ok()) {
-            None if self.compact_for(clusters) => {
-                StagedExecutor::deploy(&mut self.chip, program).ok()
+            None => {
+                let sizes: Vec<usize> = program.stages.iter().map(|s| s.clusters).collect();
+                self.compact_for(&sizes)
+                    .then(|| StagedExecutor::deploy(&mut self.chip, program).ok())
+                    .flatten()
             }
             exec => exec,
         };

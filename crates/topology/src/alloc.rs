@@ -15,7 +15,6 @@
 
 use crate::cluster::ClusterGrid;
 use crate::coord::Coord;
-use crate::fold::serpentine;
 use crate::region::Region;
 use std::cell::OnceCell;
 
@@ -131,15 +130,14 @@ impl RegionFinder {
     /// same candidate-width order and row-major first-fit anchor scan as
     /// [`find_region`], so the placement is identical.
     pub fn find(&self, clusters: usize) -> Option<Region> {
+        self.find_cells(clusters).map(Region::new)
+    }
+
+    /// The cells [`find`](Self::find) would return, row by row, without
+    /// building the [`Region`] — for callers that only test them.
+    pub fn find_cells(&self, clusters: usize) -> Option<impl Iterator<Item = Coord> + Clone> {
         let (x0, y0, w) = self.anchor(clusters)?;
-        let h = clusters.div_ceil(w);
-        Some(Region::new(
-            serpentine(w as u16, h as u16)
-                .path()
-                .iter()
-                .take(clusters)
-                .map(|c| Coord::new(x0 as u16 + c.x, y0 as u16 + c.y)),
-        ))
+        Some(serpentine_prefix(x0 as u16, y0 as u16, w as u16, clusters))
     }
 
     /// The largest `k` for which [`find`](Self::find) succeeds (0 when
@@ -170,6 +168,28 @@ impl RegionFinder {
         }
         1.0 - self.largest_fit() as f64 / self.free_total as f64
     }
+}
+
+/// The cells of the `clusters`-cell prefix of the serpentine fold of a
+/// `w`-wide box at `(x0, y0)`: `full` complete rows, then `rem` cells of
+/// the next row — from the left when that row runs left to right (even
+/// index), from the right otherwise.
+fn serpentine_prefix(
+    x0: u16,
+    y0: u16,
+    w: u16,
+    clusters: usize,
+) -> impl Iterator<Item = Coord> + Clone {
+    let full = (clusters / usize::from(w)) as u16;
+    let rem = (clusters % usize::from(w)) as u16;
+    let last = if full.is_multiple_of(2) {
+        x0..x0 + rem
+    } else {
+        x0 + w - rem..x0 + w
+    };
+    (y0..y0 + full)
+        .flat_map(move |y| (x0..x0 + w).map(move |x| Coord::new(x, y)))
+        .chain(last.map(move |x| Coord::new(x, y0 + full)))
 }
 
 /// Candidate box widths `1..=min(gw, clusters)` for a `clusters`-cell
@@ -226,6 +246,7 @@ pub fn fragmentation(grid: &ClusterGrid, is_free: impl FnMut(Coord) -> bool) -> 
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use crate::fold::serpentine;
     use std::collections::HashSet;
 
     fn grid() -> ClusterGrid {
@@ -360,6 +381,12 @@ mod tests {
                 if let Some(r) = found {
                     assert_eq!(r.len(), k);
                     assert!(r.cells().all(free), "k={k}: region must be free");
+                    // The prefix of the anchored box's serpentine fold.
+                    let (x0, y0, w) = finder.anchor(k).unwrap();
+                    let fold = serpentine(w as u16, k.div_ceil(w) as u16);
+                    let prefix = fold.path().iter().take(k);
+                    let expect = prefix.map(|c| Coord::new(x0 as u16 + c.x, y0 as u16 + c.y));
+                    assert_eq!(r, Region::new(expect), "k={k}");
                 }
             }
             let exhaustive = (0..=finder.free_total())

@@ -365,6 +365,15 @@ impl SwitchFabric {
         Ok(())
     }
 
+    /// Writes a saved switch state back at `c` verbatim — the undo of a
+    /// failed re-program. One store, like a release, and it works on a
+    /// stuck switch for the same reason: rolling back must never wedge on
+    /// a fault.
+    pub fn restore(&mut self, c: Coord, state: SwitchState) {
+        self.update(c, |s| *s = state);
+        self.store(1);
+    }
+
     /// Releases every switch owned by `owner`, restoring the default
     /// state — the down-scale path ("clearing active state, turns to be a
     /// release", §3.4).

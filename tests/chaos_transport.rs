@@ -20,6 +20,8 @@ use vlsi_processor::runtime::{EventKind, Fifo, JobState, Runtime, RuntimeConfig}
 use vlsi_processor::telemetry::{report, TelemetryHandle};
 use vlsi_processor::topology::{Cluster, Coord};
 
+#[path = "support/ledger.rs"]
+mod ledger;
 #[path = "support/terminal.rs"]
 mod terminal;
 
@@ -207,7 +209,8 @@ fn csd_chaos_sweep_keeps_invariants() {
 // --- Runtime / S-topology ----------------------------------------------------
 
 /// One deterministic runtime chaos run: a mixed tenant batch while
-/// seed-driven switch faults land mid-run.
+/// seed-driven switch faults land mid-run, stepped tick by tick with both
+/// ledgers checked after every tick.
 fn runtime_chaos_run(seed: u64, rate: f64) -> Runtime {
     // Telemetry stays live through every chaos run: recording must never
     // perturb the schedule, and the end-of-run report must render.
@@ -222,8 +225,16 @@ fn runtime_chaos_run(seed: u64, rate: f64) -> Runtime {
     for spec in mixed_jobs(seed, 18) {
         rt.submit(spec);
     }
-    rt.run_until_idle(500_000)
-        .expect("chaos batch must drain — no hang");
+    let label = format!("seed {seed} rate {rate}");
+    for tick in 0.. {
+        if rt.outstanding() == 0 {
+            break;
+        }
+        assert!(tick < 500_000, "{label}: chaos batch must drain — no hang");
+        rt.tick()
+            .expect("a chaos tick surfaces failures as job events");
+        ledger::assert_balanced(&rt, &format!("{label} tick {tick}"));
+    }
     rt
 }
 

@@ -36,15 +36,15 @@ cluster_64x64x4 completed 160
 cluster_64x64x4 events_fnv 0xce5cd62eb2e1ff2b
 cluster_64x64x4 telemetry_fnv 0x2103f132bda96db6
 noc_storm_32x32_sharded digest_fnv 0xd90ee64c4fd007bc
-accept55_fifo event_log_fnv 0xcf4554129154eef1
+accept55_fifo event_log_fnv 0xe410a7cb9b2b9d3e
 chaos_mix_64x64 event_log_fnv 0x7237d56e3a78fdf4
 cluster_4x_32x32 completed 30
 cluster_4x_32x32 fabric_messages 29
-cluster_4x_32x32 digest_fnv 0xa0ded45fa1eb55c4
+cluster_4x_32x32 digest_fnv 0x203475f722aab9dd
 ingest_open_loop_4x arrivals 1800
 ingest_open_loop_4x accepted 404
 ingest_open_loop_4x completed 376
-ingest_open_loop_4x digest_fnv 0xf985072a0f83e169
+ingest_open_loop_4x digest_fnv 0xc0687ae6e2de6fd6
 compile_corpus_12 graphs 12
 compile_corpus_12 completed 12
 compile_corpus_12 digest_fnv 0x914c0421495b26f3

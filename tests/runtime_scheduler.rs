@@ -254,14 +254,12 @@ fn policies_disagree_on_ordering_but_not_on_results() {
     }
 }
 
-/// The chip answers a compaction that can move nothing — asked again
-/// before anything on the die changed — from its occupancy generation,
-/// without consulting the allocator. The scheduler's log must not be
-/// able to tell: every fragmentation-triggered retry still records its
-/// `Compacted` event with the same `moved`/`frag_*_milli`, and the chip
-/// counts every compaction but only real moves as relocations.
+/// A starved request that no compaction can make fit: fragmentation is
+/// high and enough clusters are free in total, but the chip's compaction
+/// plan says the retry would still fail. Every attempt backs off without
+/// compacting — no `Compacted` event, no worm, no relocation.
 #[test]
-fn a_cached_no_op_compaction_still_logs_its_event() {
+fn a_compaction_that_cannot_admit_is_never_committed() {
     use vlsi_processor::core::ProcState;
     let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
     // One cycle per tick: the blocks tenant below holds its processors
@@ -298,42 +296,38 @@ fn a_cached_no_op_compaction_still_logs_its_event() {
     );
     // Three 2×6 columns are free: 24 clusters, never 16 in one region.
     let starved =
-        rt.submit(JobSpec::new("starved", 16, Workload::Idle { ticks: 1 }).with_max_retries(3));
+        rt.submit(JobSpec::new("starved", 16, Workload::Idle { ticks: 1 }).with_max_retries(4));
+    let cycles = rt.chip().metrics().noc_cycles;
+    let frag = rt.chip().fragmentation();
     for _ in 0..80 {
         rt.tick().unwrap();
     }
     assert!(matches!(
         rt.job(starved).unwrap().failure,
-        Some(RuntimeError::RetriesExhausted { attempts: 4, .. })
+        Some(RuntimeError::RetriesExhausted { attempts: 5, .. })
     ));
+    assert!(frag > 0.35, "the threshold alone would compact: {frag}");
 
-    let compacted: Vec<(usize, u32, u32)> = rt
+    let refused = rt
         .events()
         .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Compacted {
-                moved,
-                frag_before_milli,
-                frag_after_milli,
-            } => Some((moved, frag_before_milli, frag_after_milli)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(compacted.len(), 4, "one compaction per starved attempt");
-    let (moved, before, after) = compacted[0];
-    assert_eq!(moved, 0, "everyone already sits where the allocator wants");
-    assert!(before > 350 && before == after, "{compacted:?}");
-    assert!(
-        compacted.iter().all(|c| *c == compacted[0]),
-        "cached no-ops must log what the first pass logged: {compacted:?}"
-    );
-    assert_eq!(rt.stats().compactions, 4);
+        .filter(|e| matches!(e.kind, EventKind::GatherFailed { job, .. } if job == starved))
+        .count();
+    assert_eq!(refused, 4, "every starved attempt but the last backs off");
+    let compacted = rt
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Compacted { .. }))
+        .count();
+    assert_eq!(compacted, 0, "a futile compaction is never committed");
+    assert_eq!(rt.stats().compactions, 0);
     let snap = rt.telemetry().snapshot();
-    assert_eq!(snap.counter("core.compactions"), 4);
+    assert_eq!(snap.counter("core.compactions"), 0);
+    assert_eq!(snap.counter("core.relocations"), 0);
     assert_eq!(
-        snap.counter("core.relocations"),
-        0,
-        "nothing moved, so nothing was re-programmed"
+        rt.chip().metrics().noc_cycles,
+        cycles,
+        "no configuration worm was injected"
     );
 }
 
@@ -366,6 +360,33 @@ fn relocations_in_the_acceptance_run_are_all_moves() {
     }
 }
 
+/// Four-cluster stages, several per job, far more than 64 clusters in
+/// all, with odd-sized reservations of uneven length in between that
+/// leave free clusters no 2×2 fits — run to completion.
+fn contended_staged_run(policy: Box<dyn SchedPolicy>) -> Runtime {
+    let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
+    let mut rt = Runtime::new(chip, policy, RuntimeConfig::default());
+    let mut rng = vlsi_processor::prng::Prng::seed_from_u64(SEED);
+    for i in 0..40 {
+        let case = vlsi_processor::workloads::jobmix::block_case(&mut rng);
+        let spec = JobSpec::for_blocks(
+            format!("blocks-{i}"),
+            case.program,
+            case.datasets,
+            case.result_var,
+        );
+        rt.submit(spec.with_max_retries(64));
+        let (clusters, ticks) = ([3, 5, 7][i % 3], 2 + (i as u64 * 5) % 23);
+        rt.submit(
+            JobSpec::new(format!("idle-{i}"), clusters, Workload::Idle { ticks })
+                .with_max_retries(64),
+        );
+    }
+    rt.run_until_idle(500_000).expect("the run must drain");
+    assert_eq!(rt.summary().failed, 0, "{}", rt.summary().policy);
+    rt
+}
+
 /// `core.gathers` counts regions a job went on to use: admission plans a
 /// staged job's regions on the occupancy index and programs them only
 /// when every stage fits, so each gather is one processor of an
@@ -376,30 +397,7 @@ fn relocations_in_the_acceptance_run_are_all_moves() {
 fn gathers_in_a_contended_staged_run_are_all_used() {
     for policy in policies() {
         let name = policy.name();
-        let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
-        let mut rt = Runtime::new(chip, policy, RuntimeConfig::default());
-        // Four-cluster stages, several per job, far more than 64 clusters
-        // in all.
-        let mut rng = vlsi_processor::prng::Prng::seed_from_u64(SEED);
-        for i in 0..40 {
-            let case = vlsi_processor::workloads::jobmix::block_case(&mut rng);
-            let spec = JobSpec::for_blocks(
-                format!("blocks-{i}"),
-                case.program,
-                case.datasets,
-                case.result_var,
-            );
-            rt.submit(spec.with_max_retries(64));
-            // Odd-sized reservations of uneven length in between leave
-            // free clusters that no 2×2 fits.
-            let (clusters, ticks) = ([3, 5, 7][i % 3], 2 + (i as u64 * 5) % 23);
-            rt.submit(
-                JobSpec::new(format!("idle-{i}"), clusters, Workload::Idle { ticks })
-                    .with_max_retries(64),
-            );
-        }
-        rt.run_until_idle(500_000).expect("the run must drain");
-        assert_eq!(rt.summary().failed, 0, "{name}");
+        let rt = contended_staged_run(policy);
         let (mut used, mut refused) = (0u64, 0u64);
         for e in rt.events() {
             match &e.kind {
@@ -423,4 +421,39 @@ fn gathers_in_a_contended_staged_run_are_all_used() {
         assert_eq!(gathers, used, "{name}: every gather is an admitted region");
         assert_eq!(gathers - releases, resident, "{name}");
     }
+}
+
+/// The runtime compacts only when the chip's compaction plan says the
+/// retry fits, so every `Compacted` event is followed at once by the
+/// retried job's `Admitted` event. A runtime that compacts on
+/// fragmentation alone logs compactions whose retry backs off — ci.sh
+/// prints these lines so that shows as a count.
+#[test]
+fn compactions_in_a_contended_staged_run_are_all_followed_by_an_admission() {
+    let mut total = 0;
+    for policy in policies() {
+        let name = policy.name();
+        let rt = contended_staged_run(policy);
+        let events: Vec<_> = rt.events().iter().collect();
+        let mut admitted = 0u64;
+        let mut compacted = 0u64;
+        for (i, e) in events.iter().enumerate() {
+            if let EventKind::Compacted { .. } = e.kind {
+                compacted += 1;
+                let next = events.get(i + 1).map(|n| &n.kind);
+                admitted += u64::from(matches!(next, Some(EventKind::Admitted { .. })));
+            }
+        }
+        let snap = rt.telemetry().snapshot();
+        let compactions = snap.counter("core.compactions");
+        println!(
+            "{name}: core.compactions {compactions} = compactions followed by an admission \
+             {admitted} ({} refused attempts)",
+            rt.stats().failed_gathers
+        );
+        assert_eq!(compactions, compacted, "{name}: every compaction is logged");
+        assert_eq!(admitted, compacted, "{name}: every compaction admits");
+        total += compacted;
+    }
+    assert!(total > 0, "the runs must compact");
 }
