@@ -244,6 +244,20 @@ fn decode_program(w: u64) -> SwitchState {
     }
 }
 
+/// Moves `p` to `to` and records the edge as a `core.lifecycle` instant
+/// named `"<from>><to>"` on `p`'s lane, stamped with NoC `cycle`. Every
+/// lifecycle write goes through here, so the trace holds each
+/// processor's whole Figure 6(e) path; the caller checks the edge.
+fn set_state(p: &mut ScaledProcessor, to: ProcState, telemetry: &TelemetryHandle, cycle: u64) {
+    telemetry.instant(
+        "core.lifecycle",
+        p.state.edge_name(to),
+        u64::from(p.id.0),
+        cycle,
+    );
+    p.state = to;
+}
+
 impl VlsiChip {
     /// A planar chip of `width × height` clusters, supervised from the
     /// corner router (0,0), with telemetry disabled.
@@ -298,15 +312,6 @@ impl VlsiChip {
     /// The NoC (for inspection).
     pub fn noc(&self) -> &NocNetwork {
         &self.noc
-    }
-
-    /// Attaches a worker pool to the NoC: loaded ticks shard the mesh
-    /// into row stripes and run on the pool, bit-identical to the serial
-    /// schedule at every thread count. `min_resident` gates the fan-out —
-    /// cycles with fewer resident flits stay single-shard (an overhead
-    /// control, never observable in results).
-    pub fn set_noc_parallel(&mut self, pool: std::sync::Arc<vlsi_par::Pool>, min_resident: usize) {
-        self.noc.set_parallel(pool, min_resident);
     }
 
     /// Attaches a worker pool to [`Self::execute_batch`]: region sweeps
@@ -459,16 +464,22 @@ impl VlsiChip {
         self.telemetry
             .record("core.scaling_latency", outcome.config_latency);
         let cfg = ScaledProcessor::ap_config(&region, &self.grid.cluster());
-        let proc = ScaledProcessor {
+        let mut proc = ScaledProcessor {
             id,
             region,
             ring,
-            state: ProcState::Inactive,
+            state: ProcState::Release,
             ap: AdaptiveProcessor::with_telemetry(cfg, self.telemetry.clone()),
             config_latency: outcome.config_latency,
             sleep_timer: None,
             fold,
         };
+        set_state(
+            &mut proc,
+            ProcState::Inactive,
+            &self.telemetry,
+            self.noc.stats().cycles,
+        );
         self.processors.insert(id, proc);
         Ok(outcome)
     }
@@ -879,7 +890,10 @@ impl VlsiChip {
         }
         self.fabric.release_owner(RegionTag(id.0));
         self.index.release_owner(RegionTag(id.0));
-        self.processors.remove(&id);
+        let cycle = self.noc.stats().cycles;
+        if let Some(mut p) = self.processors.remove(&id) {
+            set_state(&mut p, ProcState::Release, &self.telemetry, cycle);
+        }
         self.telemetry.count("core.releases", 1);
         Ok(())
     }
@@ -935,7 +949,11 @@ impl VlsiChip {
     // --- lifecycle -----------------------------------------------------------
 
     fn transition(&mut self, id: ProcessorId, to: ProcState) -> Result<(), CoreError> {
-        let p = self.processor_mut(id)?;
+        let cycle = self.noc.stats().cycles;
+        let p = self
+            .processors
+            .get_mut(&id)
+            .ok_or(CoreError::UnknownProcessor(id))?;
         if !p.state.can_transition(to) {
             return Err(CoreError::BadTransition {
                 id,
@@ -943,7 +961,7 @@ impl VlsiChip {
                 to,
             });
         }
-        p.state = to;
+        set_state(p, to, &self.telemetry, cycle);
         Ok(())
     }
 
@@ -993,11 +1011,12 @@ impl VlsiChip {
     /// wake. Returns the IDs that woke.
     pub fn tick_timers(&mut self, ticks: u64) -> Vec<ProcessorId> {
         let mut woke = Vec::new();
+        let cycle = self.noc.stats().cycles;
         for (id, p) in self.processors.iter_mut() {
             if p.state == ProcState::Sleep {
                 if let Some(t) = p.sleep_timer {
                     if t <= ticks {
-                        p.state = ProcState::Active;
+                        set_state(p, ProcState::Active, &self.telemetry, cycle);
                         p.sleep_timer = None;
                         woke.push(*id);
                     } else {

@@ -42,6 +42,39 @@ impl ProcState {
         )
     }
 
+    /// `"<from>><to>"` — the name of the `core.lifecycle` trace instant
+    /// a state write records. Defined for every pair, legal or not, so a
+    /// trace shows an illegal write as it happened.
+    pub(crate) fn edge_name(self, to: ProcState) -> &'static str {
+        const NAMES: [[&str; 4]; 4] = [
+            [
+                "release>release",
+                "release>inactive",
+                "release>active",
+                "release>sleep",
+            ],
+            [
+                "inactive>release",
+                "inactive>inactive",
+                "inactive>active",
+                "inactive>sleep",
+            ],
+            [
+                "active>release",
+                "active>inactive",
+                "active>active",
+                "active>sleep",
+            ],
+            [
+                "sleep>release",
+                "sleep>inactive",
+                "sleep>active",
+                "sleep>sleep",
+            ],
+        ];
+        NAMES[self as usize][to as usize]
+    }
+
     /// Whether other processors may read/write this processor's memory
     /// blocks.
     pub fn others_may_access_memory(self) -> bool {
@@ -97,6 +130,15 @@ mod tests {
         // Self-transitions are not in the diagram.
         for s in [Release, Inactive, Active, Sleep] {
             assert!(!s.can_transition(s));
+        }
+    }
+
+    #[test]
+    fn edge_names_read_from_then_to() {
+        for from in [Release, Inactive, Active, Sleep] {
+            for to in [Release, Inactive, Active, Sleep] {
+                assert_eq!(from.edge_name(to), format!("{from}>{to}"));
+            }
         }
     }
 

@@ -11,9 +11,8 @@
 //!   per die plus bounded-latency chip-to-chip links. Each tick runs
 //!   the planes in parallel on the shared [`vlsi_par::Pool`] (chip `i`
 //!   is always task `i`) and then commits every off-chip crossing
-//!   serially in ascending `(source chip, source router)` order — the
-//!   same two-phase discipline as the sharded NoC tick, so a run is
-//!   bit-identical at any thread count.
+//!   serially in ascending `(source chip, source router)` order, so a
+//!   run is bit-identical at any thread count.
 //! * [`Cluster`] — multi-chip scheduling on top: the chips' runtimes,
 //!   cluster-wide
 //!   admission, queued-job migration at tick boundaries, and chaos
@@ -49,6 +48,8 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 mod cluster;
 mod error;

@@ -10,8 +10,7 @@
 //! ## Tick discipline (why this is deterministic)
 //!
 //! One [`ClusterNetwork::tick`] runs `cycles_per_tick` fabric cycles.
-//! Each cycle mirrors the sharded NoC tick's two-phase shape, one level
-//! up:
+//! Each cycle has two phases:
 //!
 //! 1. **In-phase, parallel** — every live plane advances one cycle on
 //!    the `vlsi-par` pool with the static chip-`i`-is-task-`i`
@@ -41,6 +40,7 @@
 //!
 //! [`fail_chip`]: ClusterNetwork::fail_chip
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -192,7 +192,7 @@ impl ClusterNetwork {
     /// Like [`new`](Self::new), recording `fabric.*` instruments through
     /// `telemetry`. Each plane records through its own fork (live
     /// exactly when `telemetry` is), merged in chip order by
-    /// [`merged_telemetry`](Self::merged_telemetry) — the fork-per-shard
+    /// [`merged_telemetry`](Self::merged_telemetry) — the fork-per-task
     /// pattern that keeps exports byte-identical at any thread count.
     pub fn with_telemetry(
         topo: ClusterTopology,
@@ -257,15 +257,15 @@ impl ClusterNetwork {
 
     /// The edge-port router serving off-chip direction `dir` on every
     /// die: East `(w-1, h/2)`, West `(0, h/2)`, South `(w/2, h-1)`,
-    /// North `(w/2, 0)`.
-    pub fn port(&self, dir: Dir) -> Coord {
+    /// North `(w/2, 0)`. `None` for `Up`/`Down`: chip links are planar.
+    pub fn port(&self, dir: Dir) -> Option<Coord> {
         let (w, h) = self.mesh;
         match dir {
-            Dir::East => Coord::new(w - 1, h / 2),
-            Dir::West => Coord::new(0, h / 2),
-            Dir::South => Coord::new(w / 2, h - 1),
-            Dir::North => Coord::new(w / 2, 0),
-            Dir::Up | Dir::Down => unreachable!("chip links are planar"),
+            Dir::East => Some(Coord::new(w - 1, h / 2)),
+            Dir::West => Some(Coord::new(0, h / 2)),
+            Dir::South => Some(Coord::new(w / 2, h - 1)),
+            Dir::North => Some(Coord::new(w / 2, 0)),
+            Dir::Up | Dir::Down => None,
         }
     }
 
@@ -314,7 +314,7 @@ impl ClusterNetwork {
         );
         self.stats.messages += 1;
         self.telemetry.count("fabric.messages", 1);
-        self.inject_hop(msg);
+        self.inject_hop(msg, src_chip);
         Ok(MessageId(msg))
     }
 
@@ -418,31 +418,34 @@ impl ClusterNetwork {
             let dst = self.topo.neighbor(src, dir);
             let mut budget = self.config.link_bandwidth;
             while budget > 0 {
-                let Some(front) = self.links[li].front() else {
+                let Some(&LinkEntry { msg, ready_at }) = self.links[li].front() else {
                     break;
                 };
-                if front.ready_at > self.now {
+                if ready_at > self.now {
                     break;
                 }
-                let msg = self.links[li].pop_front().expect("front exists").msg;
+                self.links[li].pop_front();
                 budget -= 1;
-                if !self.pending.contains_key(&msg) {
+                let ingress = self.port(dir.opposite());
+                let hop_budget = self.topo.hop_budget();
+                let Some(p) = self.pending.get_mut(&msg) else {
                     continue;
-                }
+                };
                 self.stats.crossings += 1;
                 self.telemetry.count("fabric.crossings", 1);
                 self.telemetry.count_at("fabric.link_util", li as u64, 1);
-                let ingress = self.port(dir.opposite());
-                let hop_budget = self.topo.hop_budget();
-                let p = self.pending.get_mut(&msg).expect("pending");
                 p.hops += 1;
                 if p.hops > hop_budget {
                     self.fail_msg(msg, "hop budget");
                     continue;
                 }
+                let Some(ingress) = ingress else {
+                    self.fail_msg(msg, "no route");
+                    continue;
+                };
                 p.location = Location::InPlane(dst);
                 p.at = ingress;
-                self.inject_hop(msg);
+                self.inject_hop(msg, dst);
             }
         }
         // Per-link occupancy, sampled once per tick per link while the
@@ -477,22 +480,21 @@ impl ClusterNetwork {
         merged
     }
 
-    /// Injects the next on-die leg of `msg` into the plane it currently
-    /// sits on: toward the final destination router if this is the last
-    /// chip, else toward the edge port of the next chip-level hop.
-    fn inject_hop(&mut self, msg: u64) {
-        let (chip, dst_chip, dst, from) = {
+    /// Injects the next on-die leg of `msg` into the plane of `chip`,
+    /// where it now sits: toward the final destination router if this is
+    /// the last chip, else toward the edge port of the next chip-level
+    /// hop.
+    fn inject_hop(&mut self, msg: u64, chip: usize) {
+        let (dst_chip, dst, from) = {
             let p = &self.pending[&msg];
-            let Location::InPlane(chip) = p.location else {
-                unreachable!("inject_hop on a link-resident message");
-            };
-            (chip, p.dst_chip, p.dst, p.at)
+            (p.dst_chip, p.dst, p.at)
         };
         let target = if dst_chip == chip {
             dst
         } else {
-            match self.topo.next_hop(chip, dst_chip, &self.dead) {
-                Some(dir) => self.port(dir),
+            let hop = self.topo.next_hop(chip, dst_chip, &self.dead);
+            match hop.and_then(|dir| self.port(dir)) {
+                Some(port) => port,
                 None => {
                     self.fail_msg(msg, "no route");
                     return;
@@ -517,9 +519,11 @@ impl ClusterNetwork {
     /// A leg of `msg` completed on chip `c`: final delivery, or a link
     /// proposal committed in arrival order.
     fn arrive(&mut self, c: usize, msg: u64) {
-        let p = self.pending.get_mut(&msg).expect("pending");
-        if p.dst_chip == c {
-            let p = self.pending.remove(&msg).expect("pending");
+        let Entry::Occupied(entry) = self.pending.entry(msg) else {
+            return;
+        };
+        if entry.get().dst_chip == c {
+            let p = entry.remove();
             let latency = self.now - p.sent_at;
             self.stats.delivered += 1;
             self.telemetry.count("fabric.delivered", 1);
@@ -534,9 +538,14 @@ impl ClusterNetwork {
             });
             return;
         }
-        match self.topo.next_hop(c, p.dst_chip, &self.dead) {
-            Some(dir) => {
-                let li = c * 4 + link_dir_index(dir);
+        let p = entry.into_mut();
+        match self
+            .topo
+            .next_hop(c, p.dst_chip, &self.dead)
+            .and_then(link_dir_index)
+        {
+            Some(k) => {
+                let li = c * 4 + k;
                 p.location = Location::OnLink(li);
                 let ready_at = self.now + self.config.link_latency;
                 self.links[li].push_back(LinkEntry { msg, ready_at });
@@ -548,7 +557,9 @@ impl ClusterNetwork {
     /// Re-sends `msg` from its source, or fails it typed once the
     /// attempt budget is spent or no live path can exist.
     fn retransmit_or_fail(&mut self, msg: u64, reason: &'static str) {
-        let p = self.pending.get_mut(&msg).expect("pending");
+        let Some(p) = self.pending.get_mut(&msg) else {
+            return;
+        };
         if self.dead[p.src_chip] || self.dead[p.dst_chip] {
             self.fail_msg(msg, reason);
             return;
@@ -561,9 +572,10 @@ impl ClusterNetwork {
         p.hops = 0;
         p.at = p.src;
         p.location = Location::InPlane(p.src_chip);
+        let src_chip = p.src_chip;
         self.stats.retransmits += 1;
         self.telemetry.count("fabric.retransmits", 1);
-        self.inject_hop(msg);
+        self.inject_hop(msg, src_chip);
     }
 
     /// Fails `msg` typed onto the failed list.

@@ -15,15 +15,10 @@ use vlsi_topology::Dir;
 /// deterministic.
 pub const LINK_DIRS: [Dir; 4] = [Dir::East, Dir::South, Dir::West, Dir::North];
 
-/// Dense index of a chip-level link direction (see [`LINK_DIRS`]).
-pub fn link_dir_index(dir: Dir) -> usize {
-    match dir {
-        Dir::East => 0,
-        Dir::South => 1,
-        Dir::West => 2,
-        Dir::North => 3,
-        Dir::Up | Dir::Down => unreachable!("chip links are planar"),
-    }
+/// Dense index of a chip-level link direction (see [`LINK_DIRS`]);
+/// `None` for `Up`/`Down`: chip links are planar.
+pub fn link_dir_index(dir: Dir) -> Option<usize> {
+    LINK_DIRS.iter().position(|&d| d == dir)
 }
 
 /// A torus of chips (a ring is the `M × 1` case) with greedy

@@ -11,9 +11,9 @@
 //! The pool is zero-dependency (std only) and persistent: workers are
 //! spawned once and parked on a condvar between parallel regions, so a
 //! region costs two lock handoffs per worker rather than a thread
-//! spawn. That keeps fine-grained regions (the sharded NoC tick) viable
-//! while coarse regions (the chips of a multi-chip cluster) amortise it
-//! to nothing.
+//! spawn. That keeps fine-grained regions (the lane stripes of a region
+//! sweep) viable while coarse regions (the chips of a multi-chip
+//! cluster) amortise it to nothing.
 //!
 //! ```
 //! use vlsi_par::Pool;

@@ -10,6 +10,9 @@ use vlsi_workloads::jobmix;
 
 use crate::job::{JobSpec, Workload};
 
+/// Region sizes a streaming job draws from, uniformly.
+const STREAM_SIZES: [usize; 3] = [4, 6, 8];
+
 /// Builds `n` jobs from `seed`: ~60% verified streaming kernels (as
 /// one-stage staged jobs), ~20% basic-block programs (as guarded staged
 /// jobs), ~20% idle capacity reservations. Priorities are
@@ -22,7 +25,7 @@ pub fn mixed_jobs(seed: u64, n: usize) -> Vec<JobSpec> {
             let spec = match rng.gen_range(0..10u8) {
                 0..=5 => {
                     let case = jobmix::stream_case(&mut rng);
-                    let clusters = *rng.choose(&[4usize, 6, 8]).expect("non-empty");
+                    let clusters = STREAM_SIZES[rng.gen_range(0..STREAM_SIZES.len())];
                     JobSpec::for_stream(
                         format!("stream-{i}"),
                         clusters,

@@ -453,8 +453,7 @@ impl Runtime {
         if active {
             self.chip.activate(pid)?;
         }
-        let rec = self.jobs.get_mut(&job_id).expect("running job");
-        rec.stats.relocations += 1;
+        self.job_mut(job_id)?.stats.relocations += 1;
         self.stats.relocations += 1;
         self.push_event(EventKind::DefectRecovered {
             job: job_id,
@@ -466,10 +465,7 @@ impl Runtime {
     /// Recovery could not relocate in place: release everything the job
     /// holds and send it back to the queue for a fresh gather.
     fn requeue_job(&mut self, job_id: JobId) -> Result<(), RuntimeError> {
-        let procs = {
-            let rec = self.jobs.get_mut(&job_id).expect("running job");
-            std::mem::take(&mut rec.procs)
-        };
+        let procs = std::mem::take(&mut self.job_mut(job_id)?.procs);
         for p in procs {
             if self.chip.state(p) == Ok(ProcState::Active) {
                 self.chip.deactivate(p)?;
@@ -479,7 +475,7 @@ impl Runtime {
         self.running.retain(|j| *j != job_id);
         self.queue.push(job_id);
         let now = self.now;
-        let rec = self.jobs.get_mut(&job_id).expect("running job");
+        let rec = self.job_mut(job_id)?;
         rec.state = JobState::Queued;
         rec.next_attempt_at = now + 1;
         rec.output = None;
@@ -515,10 +511,7 @@ impl Runtime {
 
         // Park or release the held regions, each lifting its protections
         // first if it holds them (an idle tenant does).
-        let procs = {
-            let rec = self.jobs.get_mut(&job_id).expect("running job");
-            std::mem::take(&mut rec.procs)
-        };
+        let procs = std::mem::take(&mut self.job_mut(job_id)?.procs);
         let single = procs.len() == 1;
         for p in procs {
             if self.chip.state(p) == Ok(ProcState::Active) {
@@ -542,7 +535,7 @@ impl Runtime {
         }
 
         self.running.retain(|j| *j != job_id);
-        let rec = self.jobs.get_mut(&job_id).expect("running job");
+        let rec = self.job_mut(job_id)?;
         rec.state = JobState::Completed;
         rec.output.get_or_insert(JobOutput::None);
         rec.stats.finished_at = Some(now);
@@ -564,10 +557,18 @@ impl Runtime {
     /// Marks a job failed, releasing anything it still holds. Failures
     /// are graceful: the error lands on the record, never unwinds.
     fn fail_job(&mut self, job_id: JobId, err: RuntimeError) {
-        let procs = {
-            let rec = self.jobs.get_mut(&job_id).expect("known job");
-            std::mem::take(&mut rec.procs)
+        let now = self.now;
+        let reason = err.reason();
+        // Every caller takes `job_id` from the job table, so a miss has no
+        // record to fail and holds nothing.
+        let Ok(rec) = self.job_mut(job_id) else {
+            return;
         };
+        let procs = std::mem::take(&mut rec.procs);
+        rec.state = JobState::Failed;
+        rec.stats.finished_at = Some(now);
+        rec.stats.turnaround = now - rec.stats.submitted_at;
+        rec.failure = Some(err);
         for p in procs {
             match self.chip.state(p) {
                 Ok(ProcState::Active) => {
@@ -583,13 +584,6 @@ impl Runtime {
         }
         self.queue.retain(|j| *j != job_id);
         self.running.retain(|j| *j != job_id);
-        let now = self.now;
-        let reason = err.reason();
-        let rec = self.jobs.get_mut(&job_id).expect("known job");
-        rec.state = JobState::Failed;
-        rec.stats.finished_at = Some(now);
-        rec.stats.turnaround = now - rec.stats.submitted_at;
-        rec.failure = Some(err);
         self.stats.failed += 1;
         self.telemetry.count("runtime.failures", 1);
         self.telemetry.span_end("runtime", "job", job_id.0, now);
@@ -608,15 +602,14 @@ impl Runtime {
     /// it is not a completion and not a failure, so per-chip totals never
     /// double count a stolen job.
     pub fn withdraw(&mut self, id: JobId) -> Option<Arc<JobSpec>> {
-        let rec = self.jobs.get(&id)?;
+        let rec = self.job_mut(id).ok()?;
         if rec.state != JobState::Queued {
             return None;
         }
-        self.queue.retain(|j| *j != id);
-        let now = self.now;
-        let rec = self.jobs.get_mut(&id).expect("queued job");
         rec.state = JobState::Migrated;
         let spec = Arc::clone(&rec.spec);
+        self.queue.retain(|j| *j != id);
+        let now = self.now;
         self.stats.migrated_out += 1;
         self.telemetry.count("runtime.migrated_out", 1);
         self.telemetry.span_end("runtime", "job", id.0, now);
@@ -646,7 +639,10 @@ impl Runtime {
         let now = self.now;
         let mut specs = Vec::with_capacity(ids.len());
         for id in ids {
-            let rec = self.jobs.get_mut(&id).expect("outstanding job");
+            // The queue and running lists hold table IDs only.
+            let Ok(rec) = self.job_mut(id) else {
+                continue;
+            };
             rec.state = JobState::Migrated;
             rec.procs.clear();
             specs.push((id, Arc::clone(&rec.spec)));
@@ -687,7 +683,7 @@ impl Runtime {
             return Ok(());
         }
         let attempts = {
-            let rec = self.jobs.get_mut(&job_id).expect("queued job");
+            let rec = self.job_mut(job_id)?;
             rec.stats.attempts += 1;
             rec.stats.attempts
         };
@@ -741,7 +737,7 @@ impl Runtime {
         true
     }
 
-    fn back_off(&mut self, job_id: JobId, attempts: u32) {
+    fn back_off(&mut self, job_id: JobId, attempts: u32) -> Result<(), RuntimeError> {
         let max_retries = self.jobs[&job_id].spec.max_retries;
         if attempts > max_retries {
             self.fail_job(
@@ -751,19 +747,19 @@ impl Runtime {
                     attempts,
                 },
             );
-            return;
+            return Ok(());
         }
         let shift = (attempts.saturating_sub(1)).min(16);
         let delay = (Self::BACKOFF_BASE << shift).min(Self::BACKOFF_CAP);
         let retry_at = self.now + delay;
-        let rec = self.jobs.get_mut(&job_id).expect("queued job");
-        rec.next_attempt_at = retry_at;
+        self.job_mut(job_id)?.next_attempt_at = retry_at;
         self.stats.failed_gathers += 1;
         self.push_event(EventKind::GatherFailed {
             job: job_id,
             attempt: attempts,
             retry_at,
         });
+        Ok(())
     }
 
     /// Takes an exact-size region from the warm pool for `job_id`: wakes
@@ -806,12 +802,10 @@ impl Runtime {
             },
         };
         let Some((pid, latency, pool_hit)) = acquired else {
-            self.back_off(job_id, attempts);
-            return Ok(());
+            return self.back_off(job_id, attempts);
         };
         self.chip.activate(pid)?;
-        self.mark_admitted(job_id, vec![pid], attempts, pool_hit, latency, 0, ticks);
-        Ok(())
+        self.mark_admitted(job_id, vec![pid], attempts, pool_hit, latency, 0, ticks)
     }
 
     fn admit_staged(
@@ -843,8 +837,7 @@ impl Runtime {
             exec => exec,
         };
         let Some(exec) = exec else {
-            self.back_off(job_id, attempts);
-            return Ok(());
+            return self.back_off(job_id, attempts);
         };
         let procs: Vec<ProcessorId> = exec.processors().to_vec();
 
@@ -882,7 +875,7 @@ impl Runtime {
         }
         let (config_cycles, exec_cycles) = (latency + run.config_cycles, run.exec_cycles);
         let duration = (config_cycles + exec_cycles) / self.config.cycles_per_tick.max(1);
-        self.jobs.get_mut(&job_id).expect("queued job").output = Some(JobOutput::Staged(outs));
+        self.job_mut(job_id)?.output = Some(JobOutput::Staged(outs));
         self.mark_admitted(
             job_id,
             procs,
@@ -891,8 +884,7 @@ impl Runtime {
             config_cycles,
             exec_cycles,
             duration,
-        );
-        Ok(())
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -905,11 +897,11 @@ impl Runtime {
         config_cycles: u64,
         exec_cycles: u64,
         duration: u64,
-    ) {
+    ) -> Result<(), RuntimeError> {
         let now = self.now;
         self.queue.retain(|j| *j != job_id);
         self.running.push(job_id);
-        let rec = self.jobs.get_mut(&job_id).expect("queued job");
+        let rec = self.job_mut(job_id)?;
         rec.state = JobState::Running;
         rec.procs = procs.clone();
         rec.finish_at = now + duration.max(1);
@@ -926,6 +918,7 @@ impl Runtime {
             attempt: attempts,
             pool_hit,
         });
+        Ok(())
     }
 
     fn push_event(&mut self, kind: EventKind) {
@@ -972,6 +965,12 @@ impl Runtime {
     /// A job's record.
     pub fn job(&self, id: JobId) -> Result<&JobRecord, RuntimeError> {
         self.jobs.get(&id).ok_or(RuntimeError::UnknownJob(id))
+    }
+
+    /// A job's record, mutably — the one lookup the runtime's own
+    /// bookkeeping goes through.
+    fn job_mut(&mut self, id: JobId) -> Result<&mut JobRecord, RuntimeError> {
+        self.jobs.get_mut(&id).ok_or(RuntimeError::UnknownJob(id))
     }
 
     /// All job records, in submission order.

@@ -32,13 +32,12 @@ impl TelemetryHandle {
 
     /// A *child* handle: live exactly when `self` is live, but backed by
     /// its own fresh registry — nothing recorded through the fork is
-    /// visible here until [`absorb`](Self::absorb) or
-    /// [`merge_from`](Self::merge_from) folds it back.
+    /// visible here until [`merge_from`](Self::merge_from) folds it back.
     ///
-    /// This is the shard-local pattern the parallel paths use: each
+    /// This is the task-local pattern the parallel paths use: each
     /// worker records into a fork with no lock contention, and the
-    /// owner absorbs the forks on a fixed schedule (shard order, chip
-    /// index order), which keeps merged exports deterministic.
+    /// owner merges the forks on a fixed schedule (chip index order),
+    /// which keeps merged exports deterministic.
     pub fn fork(&self) -> TelemetryHandle {
         if self.is_enabled() {
             TelemetryHandle {
@@ -64,23 +63,6 @@ impl TelemetryHandle {
         // are never held together, so two handles can merge either way
         // around without ordering concerns.
         let theirs = b.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        a.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge_from(&theirs);
-    }
-
-    /// [`merge_from`](Self::merge_from), but *draining*: `other`'s
-    /// registry is left empty (fresh, default trace capacity). The
-    /// per-tick absorb the sharded NoC uses — forks accumulate during a
-    /// parallel region, the owner drains them in shard order after.
-    pub fn absorb(&self, other: &TelemetryHandle) {
-        let (Some(a), Some(b)) = (&self.inner, &other.inner) else {
-            return;
-        };
-        if Arc::ptr_eq(a, b) {
-            return;
-        }
-        let theirs = std::mem::take(&mut *b.lock().unwrap_or_else(|e| e.into_inner()));
         a.lock()
             .unwrap_or_else(|e| e.into_inner())
             .merge_from(&theirs);
@@ -234,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_isolates_until_absorbed() {
+    fn fork_isolates_until_merged() {
         let t = TelemetryHandle::active();
         t.count("x", 1);
         let f = t.fork();
@@ -242,19 +224,12 @@ mod tests {
         f.count("x", 2);
         f.record("lat", 8);
         assert_eq!(t.snapshot().counter("x"), 1, "fork is isolated");
-        t.absorb(&f);
+        t.merge_from(&f);
         assert_eq!(t.snapshot().counter("x"), 3);
         assert_eq!(t.snapshot().histogram("lat").unwrap().count(), 1);
-        // Absorb drains: a second absorb adds nothing.
-        t.absorb(&f);
-        assert_eq!(t.snapshot().counter("x"), 3);
-        // The drained fork keeps working.
-        f.count("x", 5);
-        t.merge_from(&f);
-        assert_eq!(t.snapshot().counter("x"), 8);
         // merge_from does not drain.
         t.merge_from(&f);
-        assert_eq!(t.snapshot().counter("x"), 13);
+        assert_eq!(t.snapshot().counter("x"), 5);
     }
 
     #[test]
@@ -263,11 +238,9 @@ mod tests {
         t.count("x", 2);
         let c = t.clone();
         t.merge_from(&c); // same registry: must not deadlock or double
-        t.absorb(&c);
         assert_eq!(t.snapshot().counter("x"), 2);
         let d = TelemetryHandle::disabled();
         t.merge_from(&d);
-        t.absorb(&d);
         assert!(!d.fork().is_enabled());
         assert_eq!(t.snapshot().counter("x"), 2);
     }

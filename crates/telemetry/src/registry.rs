@@ -143,11 +143,11 @@ impl Registry {
     /// in `other`'s recording order.
     ///
     /// `other`'s instruments are visited in *interning* order, so a
-    /// fixed merge schedule (shards in shard order, cluster chips in chip
-    /// index order) yields a deterministic registry — and the sorted
+    /// fixed merge schedule (cluster chips in chip index order) yields a
+    /// deterministic registry — and the sorted
     /// [`snapshot`](Self::snapshot) makes the export independent of the
     /// interning interleave altogether. Merging an instrument that only
-    /// `other` has interns it here, zero-valued first, so a shard that
+    /// `other` has interns it here, zero-valued first, so a task that
     /// touched an instrument materialises it in the merged export
     /// exactly as a serial run would.
     pub fn merge_from(&mut self, other: &Registry) {

@@ -16,12 +16,16 @@ use vlsi_processor::faults::{Fault, FaultKind, FaultPlan, FaultPlanBuilder};
 use vlsi_processor::noc::{NocError, NocNetwork};
 use vlsi_processor::prng::Prng;
 use vlsi_processor::runtime::mix::mixed_jobs;
-use vlsi_processor::runtime::{EventKind, Fifo, JobState, Runtime, RuntimeConfig};
+use vlsi_processor::runtime::{
+    EventKind, Fifo, JobSpec, JobState, Runtime, RuntimeConfig, Workload,
+};
 use vlsi_processor::telemetry::{report, TelemetryHandle};
 use vlsi_processor::topology::{Cluster, Coord};
 
 #[path = "support/ledger.rs"]
 mod ledger;
+#[path = "support/lifecycle.rs"]
+mod lifecycle;
 #[path = "support/terminal.rs"]
 mod terminal;
 
@@ -213,8 +217,11 @@ fn csd_chaos_sweep_keeps_invariants() {
 /// ledgers checked after every tick.
 fn runtime_chaos_run(seed: u64, rate: f64) -> Runtime {
     // Telemetry stays live through every chaos run: recording must never
-    // perturb the schedule, and the end-of-run report must render.
-    let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
+    // perturb the schedule, and the end-of-run report must render. The
+    // trace keeps every event, so the lifecycle oracle can read it.
+    let telemetry = TelemetryHandle::active();
+    telemetry.set_trace_capacity(lifecycle::TRACE_CAPACITY);
+    let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), telemetry);
     let mut rt = Runtime::new(chip, Box::new(Fifo), RuntimeConfig::default());
     let plan = FaultPlanBuilder::new(seed)
         .grid(8, 8)
@@ -245,7 +252,10 @@ fn runtime_chaos_resolves_every_job_and_replays_identically() {
             let rt = runtime_chaos_run(seed, rate);
             // Clause 2: nothing in limbo — every job completed or
             // carries a typed failure, and its log says so exactly once.
-            terminal::assert_one_terminal_event(&rt, &format!("seed {seed} rate {rate}"));
+            let label = format!("seed {seed} rate {rate}");
+            terminal::assert_one_terminal_event(&rt, &label);
+            // Every processor state write is a Figure 6(e) edge.
+            lifecycle::assert_figure_6e_paths(&rt, &label);
             for rec in rt.jobs() {
                 match rec.state {
                     JobState::Completed => assert!(rec.failure.is_none()),
@@ -278,6 +288,85 @@ fn runtime_chaos_resolves_every_job_and_replays_identically() {
             let table = report::render(&snap);
             assert!(table.contains("instrument"), "report must render a table");
         }
+    }
+}
+
+/// A die kept nearly full: forty 6-cluster reservations queue for an
+/// 8×8 die (ten fit, four clusters spare), while seed-driven switches
+/// stick under them. A victim's relocation then usually finds no region,
+/// and the job re-queues. Stepped tick by tick with both ledgers checked
+/// after every tick.
+fn full_die_chaos_run(seed: u64) -> Runtime {
+    let telemetry = TelemetryHandle::active();
+    telemetry.set_trace_capacity(lifecycle::TRACE_CAPACITY);
+    let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), telemetry);
+    let mut rt = Runtime::new(chip, Box::new(Fifo), RuntimeConfig::default());
+    let plan = FaultPlanBuilder::new(seed)
+        .grid(8, 8)
+        .horizon(120)
+        .switch_stuck_rate(0.05)
+        .build();
+    rt.attach_fault_plan(plan);
+    for i in 0..40 {
+        rt.submit(JobSpec::new(
+            format!("hold-{i}"),
+            6,
+            Workload::Idle { ticks: 30 },
+        ));
+    }
+    let label = format!("full die, seed {seed}");
+    for tick in 0.. {
+        if rt.outstanding() == 0 {
+            break;
+        }
+        assert!(tick < 500_000, "{label}: the batch must drain — no hang");
+        rt.tick()
+            .expect("a chaos tick surfaces failures as job events");
+        ledger::assert_balanced(&rt, &format!("{label} tick {tick}"));
+    }
+    rt
+}
+
+#[test]
+fn relocation_with_nowhere_to_go_requeues_and_keeps_the_ledgers() {
+    for seed in SEEDS {
+        let rt = full_die_chaos_run(seed);
+        let label = format!("full die, seed {seed}");
+        terminal::assert_one_terminal_event(&rt, &label);
+        lifecycle::assert_figure_6e_paths(&rt, &label);
+        // A job re-queues only when `relocate` found nowhere to go.
+        let requeued = rt
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Requeued { .. }))
+            .count();
+        assert!(requeued > 0, "{label}: no relocation ran out of room");
+        assert_eq!(rt.stats().completed, 40, "{label}: every hold completes");
+    }
+}
+
+#[test]
+fn a_relocation_with_nowhere_to_go_keeps_every_cell_it_lists() {
+    // The runtime releases a job whose relocation failed within the same
+    // call, so its per-tick ledger cannot tell whether `relocate` gave up
+    // with the processor intact. Here nothing releases it: the die is
+    // filled with 4-cluster processors, so no defect's victim has
+    // anywhere to go, and the occupancy ledger runs after every attempt.
+    for seed in SEEDS {
+        let mut chip = VlsiChip::new(6, 6, Cluster::default());
+        while chip.gather_any(4).is_ok() {}
+        let mut rng = Prng::seed_from_u64(seed);
+        let mut nowhere = 0;
+        for step in 0..8 {
+            let c = Coord::new(rng.gen_range(0..6), rng.gen_range(0..6));
+            let victim = chip.processor_at(c);
+            chip.mark_defective(c);
+            if let Some(id) = victim {
+                nowhere += usize::from(chip.relocate(id).is_err());
+            }
+            ledger::assert_occupancy(&chip, &format!("seed {seed} step {step}"));
+        }
+        assert!(nowhere > 0, "seed {seed}: no relocation ran out of room");
     }
 }
 

@@ -1,32 +1,29 @@
 //! Integration: parallel execution is bit-identical to serial.
 //!
-//! The `vlsi-par` pool uses a *static* task→worker assignment and every
-//! parallel section in the stack (the sharded NoC tick, the cluster's
-//! chip→task mapping) commits cross-shard effects in a fixed serial
-//! order — so a run at 2 or 8 threads must reproduce the serial run
-//! byte for byte: event logs, telemetry exports, delivered lists,
-//! checksums, everything. This file is the cross-layer pin: the
-//! observable tests compare whole runs across thread counts, and the
-//! digest tests hold every hot-path workload to one literal text, which
-//! also catches drift across processes and commits.
+//! The `vlsi-par` pool uses a *static* task→worker assignment, and every
+//! parallel section in the stack either commits cross-task effects in a
+//! fixed serial order (the cluster's chip→task mapping and the fabric's
+//! two-phase tick) or has none (the region sweep's lane stripes) — so a
+//! run at 2 or 8 threads must reproduce the serial run byte for byte:
+//! event logs, telemetry exports, delivered lists, checksums,
+//! everything. This file is the cross-layer pin: the observable tests
+//! compare whole runs across thread counts, and the digest tests hold
+//! every hot-path workload to one literal text, which also catches drift
+//! across processes and commits.
 
 #[path = "support/hotpath.rs"]
 mod hotpath;
 
 use hotpath::{
-    chaos_mix, cluster_4x, cluster_mix, compile_corpus, digest, gather_release_churn, noc_storm,
+    chaos_mix, cluster_4x, cluster_mix, compile_corpus, digest, gather_release_churn,
     sched_acceptance, soa_sweep, staged_pipeline, ACCEPT_JOBS,
 };
-use vlsi_processor::noc::NocNetwork;
 use vlsi_processor::par::Pool;
 use vlsi_processor::prng::Prng;
 use vlsi_processor::telemetry::TelemetryHandle;
 use vlsi_processor::topology::Coord;
 
 const THREADS: [usize; 3] = [1, 2, 8];
-
-/// Worms in the faulted storm.
-const FAULT_STORM_WORMS: usize = 240;
 
 /// `digest` at seed 2012. Identical at every thread count and in debug
 /// and release builds; a change that moves a line must say which and why.
@@ -35,7 +32,7 @@ seed 2012
 cluster_64x64x4 completed 160
 cluster_64x64x4 events_fnv 0xce5cd62eb2e1ff2b
 cluster_64x64x4 telemetry_fnv 0x2103f132bda96db6
-noc_storm_32x32_sharded digest_fnv 0xd90ee64c4fd007bc
+noc_storm_32x32 digest_fnv 0xd90ee64c4fd007bc
 accept55_fifo event_log_fnv 0xe410a7cb9b2b9d3e
 chaos_mix_64x64 event_log_fnv 0x7237d56e3a78fdf4
 cluster_4x_32x32 completed 30
@@ -90,106 +87,12 @@ fn digest_at_eight_threads_matches_the_pinned_text() {
     assert_digest_is_pinned(8);
 }
 
-/// A seed-driven storm on a sharded mesh, returning everything
-/// observable: the delivered (packet, latency) list, the failure list,
-/// final stats, and the full telemetry export.
-fn storm_observables(threads: usize, seed: u64, worms: usize) -> String {
-    let (w, h) = (16u16, 16u16);
-    let mut net = NocNetwork::with_telemetry(w, h, TelemetryHandle::active());
-    net.set_parallel(Pool::new(threads), 0);
-    let mut rng = Prng::seed_from_u64(seed);
-    for _ in 0..worms {
-        let src = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
-        let dest = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
-        let payload: Vec<u64> = (0..rng.gen_range(1..10u64)).collect();
-        net.inject(src, dest, payload).unwrap();
-    }
-    net.run_until_drained(4_000_000).expect("storm must drain");
-    format!(
-        "{:?}\n{:?}\n{:?}\n{}",
-        net.take_delivered(),
-        net.take_failed(),
-        net.stats(),
-        net.telemetry().snapshot().to_json(),
-    )
-}
-
-#[test]
-fn sharded_noc_storm_is_bit_identical_across_thread_counts() {
-    for seed in [3, 2012] {
-        let serial = storm_observables(1, seed, 96);
-        for threads in THREADS {
-            assert_eq!(
-                storm_observables(threads, seed, 96),
-                serial,
-                "seed {seed}, {threads} threads"
-            );
-        }
-    }
-}
-
 #[test]
 fn cluster_mix_is_bit_identical_across_thread_counts() {
     let serial = cluster_mix(1, 3);
     assert!(serial.0 > 0, "the cluster must complete jobs");
     for threads in THREADS {
         assert_eq!(cluster_mix(threads, 3), serial, "{threads} threads");
-    }
-}
-
-#[test]
-fn bench_storm_digest_matches_across_thread_counts() {
-    let serial = noc_storm(1);
-    for threads in THREADS {
-        assert_eq!(noc_storm(threads), serial, "{threads} threads");
-    }
-    // Determinism also means replay: the same thread count twice.
-    assert_eq!(noc_storm(8), serial);
-}
-
-#[test]
-fn fault_storm_replays_under_sharding() {
-    // The faulted acceptance storm uses retransmission (purges, replays)
-    // — the hardest path to keep shard-count-invariant. Compare the
-    // serial NoC against an 8-way sharded one on the exact same plan.
-    use vlsi_processor::faults::FaultPlanBuilder;
-    let run = |threads: usize| {
-        let (w, h) = (8u16, 8u16);
-        let mut net = NocNetwork::with_telemetry(w, h, TelemetryHandle::active());
-        net.set_parallel(Pool::new(threads), 0);
-        let plan = FaultPlanBuilder::new(2012)
-            .grid(w, h)
-            .horizon(192)
-            .link_down_rate(0.05)
-            .link_corrupt_rate(0.05)
-            .permanent_fraction(0.0)
-            .build();
-        net.attach_fault_plan(plan);
-        let mut rng = Prng::seed_from_u64(2012);
-        let mut injected = 0;
-        while injected < FAULT_STORM_WORMS {
-            for _ in 0..10.min(FAULT_STORM_WORMS - injected) {
-                let src = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
-                let dest = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
-                let payload: Vec<u64> = (0..rng.gen_range(8..16u64)).collect();
-                net.inject(src, dest, payload).unwrap();
-                injected += 1;
-            }
-            for _ in 0..8 {
-                net.tick();
-            }
-        }
-        net.run_until_drained(4_000_000).expect("must drain");
-        format!(
-            "{:?}\n{:?}\n{}",
-            net.take_delivered(),
-            net.stats(),
-            net.telemetry().snapshot().to_json(),
-        )
-    };
-    let serial = run(1);
-    for threads in THREADS {
-        assert_eq!(run(threads), serial, "{threads} threads");
     }
 }
 

@@ -16,6 +16,8 @@ use vlsi_processor::telemetry::TelemetryHandle;
 use vlsi_processor::topology::{Cluster, Coord};
 use vlsi_processor::workloads::StreamKernel;
 
+#[path = "support/lifecycle.rs"]
+mod lifecycle;
 #[path = "support/terminal.rs"]
 mod terminal;
 
@@ -33,9 +35,17 @@ fn policies() -> Vec<Box<dyn SchedPolicy>> {
 /// The acceptance run: the mixed batch, three mid-run defects, and one
 /// deadline-doomed straggler, on an 8×8 chip.
 fn acceptance_run(policy: Box<dyn SchedPolicy>) -> Runtime {
+    let mut rt = acceptance_batch(policy, TelemetryHandle::active());
+    rt.run_until_idle(500_000).expect("the mix must drain");
+    terminal::assert_one_terminal_event(&rt, rt.summary().policy);
+    rt
+}
+
+/// The acceptance run's runtime, batch submitted and not yet run.
+fn acceptance_batch(policy: Box<dyn SchedPolicy>, telemetry: TelemetryHandle) -> Runtime {
     // The acceptance bar includes telemetry: the whole batch runs with a
     // live registry, which must never perturb the schedule.
-    let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), TelemetryHandle::active());
+    let chip = VlsiChip::with_telemetry(8, 8, Cluster::default(), telemetry);
     let mut rt = Runtime::new(chip, policy, RuntimeConfig::default());
     // Defects land while the chip is under load; coordinates in the
     // middle of the die are almost always owned by some tenant then.
@@ -49,9 +59,27 @@ fn acceptance_run(policy: Box<dyn SchedPolicy>) -> Runtime {
     }
     // A job that cannot possibly meet its deadline: graceful failure.
     rt.submit(JobSpec::new("doomed", 16, Workload::Idle { ticks: 10 }).with_deadline(1));
-    rt.run_until_idle(500_000).expect("the mix must drain");
-    terminal::assert_one_terminal_event(&rt, rt.summary().policy);
     rt
+}
+
+#[test]
+fn every_lifecycle_write_in_the_acceptance_run_is_a_figure_6e_edge() {
+    let mut seen = std::collections::BTreeSet::new();
+    for policy in policies() {
+        let name = policy.name();
+        let telemetry = TelemetryHandle::active();
+        telemetry.set_trace_capacity(lifecycle::TRACE_CAPACITY);
+        let mut rt = acceptance_batch(policy, telemetry);
+        // The oracle reads the trace before the run's verdict, so a bad
+        // write is reported as the edge it took, not as whatever error
+        // it later caused.
+        let drained = rt.run_until_idle(500_000);
+        seen.extend(lifecycle::assert_figure_6e_paths(&rt, name));
+        drained.expect("the mix must drain");
+    }
+    // Gathers, runs, idles, pooled sleeps, wakes and releases: the batch
+    // takes every edge, so the oracle is exercised on each.
+    assert_eq!(seen.len(), 6, "edges taken: {seen:?}");
 }
 
 #[test]

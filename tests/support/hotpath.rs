@@ -15,7 +15,7 @@
 //!   128×128 to exercise the packed switch slab at scale.
 //! * **ring** / **noc storm** — a ring cluster of four 64×64 dies, each
 //!   pinned its own job mix, ticked on a shared pool, and a 256-worm
-//!   storm through the sharded NoC tick.
+//!   storm through one 32×32 NoC.
 //! * **cluster** — a ring of four 32×32 dies joined by the vlsi-fabric
 //!   interconnect: chip 0 is oversubscribed so jobs migrate over real
 //!   links, and one chip dies mid-run. The digest covers the merged
@@ -418,15 +418,11 @@ pub fn compile_corpus(threads: usize) -> (u64, u64, u64) {
     (graphs, summary.completed, fnv1a(text.as_bytes()))
 }
 
-/// A 256-worm storm on a 32×32 mesh ticked through the *sharded* NoC
-/// path (`min_resident` 0, so row-stripe sharding engages at any
-/// occupancy when `threads > 1`). Returns an FNV digest over the
-/// delivered list, final stats, and the telemetry export, so it must be
-/// bit-identical at every thread count.
-pub fn noc_storm(threads: usize) -> u64 {
+/// A 256-worm storm on a 32×32 mesh. Returns an FNV digest over the
+/// delivered list, final stats, and the telemetry export.
+pub fn noc_storm() -> u64 {
     let (w, h) = (32u16, 32u16);
     let mut net = NocNetwork::with_telemetry(w, h, TelemetryHandle::active());
-    net.set_parallel(Pool::new(threads), 0);
     let mut rng = Prng::seed_from_u64(SEED);
     for _ in 0..256 {
         let src = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
@@ -673,7 +669,7 @@ pub fn staged_pipeline(threads: usize, datasets: usize) -> StagedPipelineReport 
 /// `tests/parallel_determinism.rs` pins it.
 pub fn digest(threads: usize) -> String {
     let (completed, events_fnv, telemetry_fnv) = cluster_mix(threads, 4);
-    let storm = noc_storm(threads);
+    let storm = noc_storm();
     let (_, accept_fnv) = sched_acceptance();
     let (_, chaos_fnv) = chaos_mix();
     let (cluster_completed, cluster_msgs, cluster_fnv) = cluster_4x(threads);
@@ -687,7 +683,7 @@ pub fn digest(threads: usize) -> String {
          cluster_64x64x4 completed {completed}\n\
          cluster_64x64x4 events_fnv {events_fnv:#018x}\n\
          cluster_64x64x4 telemetry_fnv {telemetry_fnv:#018x}\n\
-         noc_storm_32x32_sharded digest_fnv {storm:#018x}\n\
+         noc_storm_32x32 digest_fnv {storm:#018x}\n\
          accept55_fifo event_log_fnv {accept_fnv:#018x}\n\
          chaos_mix_64x64 event_log_fnv {chaos_fnv:#018x}\n\
          cluster_4x_32x32 completed {cluster_completed}\n\

@@ -2,15 +2,14 @@
 //! no cluster is ever lost or counted twice.
 
 use std::collections::BTreeSet;
+use vlsi_processor::core::VlsiChip;
 use vlsi_processor::runtime::Runtime;
 
 /// Asserts the two ledgers after a tick. `label` names the run.
 ///
 /// * Jobs: every submitted job is completed, failed, migrated out or
 ///   still outstanding — exactly one of them.
-/// * Clusters: every live processor owns each cell it lists (the chip's
-///   `processor_at`), no cell is listed twice, and the free, owned
-///   healthy and defective cells add up to the whole die.
+/// * Clusters: [`assert_occupancy`] on the runtime's chip.
 pub fn assert_balanced(rt: &Runtime, label: &str) {
     let s = rt.stats();
     assert_eq!(
@@ -18,7 +17,13 @@ pub fn assert_balanced(rt: &Runtime, label: &str) {
         s.completed + s.failed + s.migrated_out + rt.outstanding() as u64,
         "{label}: job ledger"
     );
-    let chip = rt.chip();
+    assert_occupancy(rt.chip(), label);
+}
+
+/// The occupancy ledger alone, on a chip: every live processor owns each
+/// cell it lists, no cell is listed twice, and the free, owned healthy
+/// and defective cells add up to the whole die.
+pub fn assert_occupancy(chip: &VlsiChip, label: &str) {
     let mut listed = BTreeSet::new();
     let mut owned_healthy = 0;
     for p in chip.processors() {
