@@ -56,7 +56,7 @@ RUSTFLAGS="-D warnings" cargo build -q --release --offline --workspace
 echo "== end-to-end benchmark smoke (benchmark/run.sh --smoke: every workload verifies, seed 2012 and held-out seed 7)"
 benchmark/run.sh --smoke
 
-echo "== thread-matrix determinism (pinned digest at 1 and 8 threads, cluster/fabric/region runs at 1/2/8)"
+echo "== thread-matrix determinism (pinned digest at 1 and 8 threads, cluster runs at 1/2/8)"
 # The digest covers the 64x64 ring cluster, NoC storm, acceptance, chaos,
 # cluster_4x, ingest_open_loop, compile_corpus, soa_sweep and
 # staged_pipeline workloads, and asserts the sequential and pipelined

@@ -10,7 +10,6 @@
 //! reservation flag that makes concurrent gathers conflict-free.
 
 use crate::error::CoreError;
-use crate::region;
 use crate::scaled::{ProcessorId, ScaledProcessor};
 use crate::state::ProcState;
 use std::cell::RefCell;
@@ -19,7 +18,6 @@ use std::sync::Arc;
 use vlsi_ap::{AdaptiveProcessor, ApError, ConfigureOutcome, ExecutionReport, SoaLane};
 use vlsi_noc::{NocNetwork, WormId};
 use vlsi_object::{GlobalConfigStream, LogicalObject, ObjectId, Word};
-use vlsi_par::Pool;
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::switch::RegionTag;
 use vlsi_topology::{
@@ -196,10 +194,6 @@ pub struct VlsiChip {
     supervisor: Coord,
     next_id: u32,
     strategy: ConfigStrategy,
-    /// Worker pool for [`Self::execute_batch`] region sweeps. The
-    /// default is the inline serial pool;
-    /// [`Self::set_region_parallel`] attaches a threaded one.
-    region_pool: Arc<Pool>,
     /// Observability sink; the default handle is a no-op. Threaded into
     /// the fabric, the NoC, and every gathered processor's AP, so one
     /// registry sees the whole chip.
@@ -289,7 +283,6 @@ impl VlsiChip {
             supervisor: Coord::new(0, 0),
             next_id: 1,
             strategy: ConfigStrategy::default(),
-            region_pool: Pool::serial(),
             telemetry,
         }
     }
@@ -312,14 +305,6 @@ impl VlsiChip {
     /// The NoC (for inspection).
     pub fn noc(&self) -> &NocNetwork {
         &self.noc
-    }
-
-    /// Attaches a worker pool to [`Self::execute_batch`]: region sweeps
-    /// shard their lanes into contiguous row stripes and run on the
-    /// pool, bit-identical to the serial schedule at every thread count
-    /// (lanes are fully independent).
-    pub fn set_region_parallel(&mut self, pool: Arc<Pool>) {
-        self.region_pool = pool;
     }
 
     /// Marks a cluster defective: no future gather may include it.
@@ -1082,9 +1067,10 @@ impl VlsiChip {
     /// Executes the most recently configured datapath of every
     /// processor in `ids` as one struct-of-arrays **region sweep**: each
     /// AP's resident datapath and memory blocks are moved out into a
-    /// [`SoaLane`], the lanes are swept lane-major (sharded into row
-    /// stripes across the pool attached via
-    /// [`Self::set_region_parallel`]), and everything is moved back.
+    /// [`SoaLane`], the lanes are swept lane-major, and everything is
+    /// moved back. Lanes share no state, so the order only decides cache
+    /// behaviour: driving one lane's dense arrays to completion while
+    /// they are hot beats touching every lane once per cycle.
     /// [`Self::execute`] is the same engine on a batch of one.
     ///
     /// Reports come back in `ids` order. All named processors must be
@@ -1123,9 +1109,12 @@ impl VlsiChip {
                 }
             }
         }
-        // One region sweep over all lanes.
-        let pool = Arc::clone(&self.region_pool);
-        region::sweep_lanes(&pool, &mut lanes, tap_limit, max_cycles);
+        // One region sweep over all lanes: drain, typed failure or
+        // cycle-budget timeout is recorded per lane and surfaces below.
+        for lane in &mut lanes {
+            lane.start(tap_limit, max_cycles);
+            while lane.step() {}
+        }
         // Reattach in processor order; surface the first failure only
         // after every AP has its state back.
         let mut reports = Vec::with_capacity(ids.len());
@@ -1527,12 +1516,9 @@ mod tests {
 
     /// Gathers `n` 2×2 processors, installs a distinct const→add kernel
     /// in each, and activates + configures them all.
-    fn batch_ready_chip(n: usize, threads: usize) -> (VlsiChip, Vec<ProcessorId>) {
+    fn batch_ready_chip(n: usize) -> (VlsiChip, Vec<ProcessorId>) {
         use vlsi_object::{LocalConfig, Operation};
         let mut c = chip();
-        if threads > 1 {
-            c.set_region_parallel(Pool::new(threads));
-        }
         let mut ids = Vec::new();
         for k in 0..n {
             let id = c.gather_any(4).unwrap().id;
@@ -1566,12 +1552,9 @@ mod tests {
     /// Gathers `n` 2×2 processors, each streaming words from block 0
     /// through a distinct multiplier into block 1 (four per run, stream
     /// pointers advancing across runs) with a tap on the products.
-    fn stream_ready_chip(n: usize, threads: usize) -> (VlsiChip, Vec<ProcessorId>) {
+    fn stream_ready_chip(n: usize) -> (VlsiChip, Vec<ProcessorId>) {
         use vlsi_object::{LocalConfig, Operation};
         let mut c = chip();
-        if threads > 1 {
-            c.set_region_parallel(Pool::new(threads));
-        }
         let mut ids = Vec::new();
         for k in 0..n as u64 {
             let id = c.gather_any(4).unwrap().id;
@@ -1632,75 +1615,73 @@ mod tests {
                 })
                 .collect()
         };
-        for threads in [1usize, 2, 8] {
-            let (mut whole, ids) = stream_ready_chip(6, threads);
-            let (mut ones, ids_ones) = stream_ready_chip(6, 1);
-            let (mut plain, ids_plain) = stream_ready_chip(6, 1);
-            assert_eq!(ids, ids_ones);
-            assert_eq!(ids, ids_plain);
-            // Two full runs, a 5-cycle budget that strands every lane
-            // mid-stream, a full run from there, then a reconfigure.
-            for (round, budget) in [100_000u64, 100_000, 5, 100_000, 100_000]
-                .into_iter()
-                .enumerate()
-            {
-                if round == 4 {
-                    for c in [&mut whole, &mut ones, &mut plain] {
-                        for &id in &ids {
-                            c.configure(id, stream_kernel()).unwrap();
-                        }
-                    }
-                }
-                let batch = whole.execute_batch(&ids, 1, budget);
-                let singles = one_at_a_time(&mut ones, &ids, budget, true);
-                assert_eq!(
-                    singles,
-                    one_at_a_time(&mut plain, &ids, budget, false),
-                    "round {round}: execute is a batch of one"
-                );
-                match batch {
-                    Ok(reports) => {
-                        assert_ne!(budget, 5, "the short budget must strand the lanes");
-                        let singles: Vec<_> = singles.into_iter().map(Result::unwrap).collect();
-                        assert_eq!(reports, singles, "round {round} at {threads} threads");
-                        assert!(reports.iter().all(|r| r.stores == 4), "round {round}");
-                    }
-                    Err(e) => {
-                        assert_eq!(budget, 5, "round {round}: {e}");
-                        let first = singles.into_iter().find_map(Result::err);
-                        assert_eq!(Some(e), first, "round {round}: first failure in id order");
-                    }
-                }
-                for other in [&ones, &plain] {
-                    assert_eq!(whole.metrics().ap, other.metrics().ap, "round {round}");
+        let (mut whole, ids) = stream_ready_chip(6);
+        let (mut ones, ids_ones) = stream_ready_chip(6);
+        let (mut plain, ids_plain) = stream_ready_chip(6);
+        assert_eq!(ids, ids_ones);
+        assert_eq!(ids, ids_plain);
+        // Two full runs, a 5-cycle budget that strands every lane
+        // mid-stream, a full run from there, then a reconfigure.
+        for (round, budget) in [100_000u64, 100_000, 5, 100_000, 100_000]
+            .into_iter()
+            .enumerate()
+        {
+            if round == 4 {
+                for c in [&mut whole, &mut ones, &mut plain] {
                     for &id in &ids {
-                        let (a, b) = (whole.processor(id).unwrap(), other.processor(id).unwrap());
-                        for block in 0..2 {
-                            assert_eq!(
-                                a.ap.memory(block),
-                                b.ap.memory(block),
-                                "round {round}: {id} block {block} at {threads} threads"
-                            );
-                        }
+                        c.configure(id, stream_kernel()).unwrap();
                     }
                 }
             }
-            // The pointers really did carry over: four full runs stored
-            // 16 words per lane, plus whatever the stranded round wrote.
-            for (k, &id) in ids.iter().enumerate() {
-                let out = whole.processor(id).unwrap().ap.memory(1).unwrap();
-                assert!(out.write_count() >= 16, "lane {k}");
-                assert_eq!(
-                    out.peek(64).unwrap(),
-                    Word((100 * k as u64 + 1) * (3 + k as u64))
-                );
+            let batch = whole.execute_batch(&ids, 1, budget);
+            let singles = one_at_a_time(&mut ones, &ids, budget, true);
+            assert_eq!(
+                singles,
+                one_at_a_time(&mut plain, &ids, budget, false),
+                "round {round}: execute is a batch of one"
+            );
+            match batch {
+                Ok(reports) => {
+                    assert_ne!(budget, 5, "the short budget must strand the lanes");
+                    let singles: Vec<_> = singles.into_iter().map(Result::unwrap).collect();
+                    assert_eq!(reports, singles, "round {round}");
+                    assert!(reports.iter().all(|r| r.stores == 4), "round {round}");
+                }
+                Err(e) => {
+                    assert_eq!(budget, 5, "round {round}: {e}");
+                    let first = singles.into_iter().find_map(Result::err);
+                    assert_eq!(Some(e), first, "round {round}: first failure in id order");
+                }
             }
+            for other in [&ones, &plain] {
+                assert_eq!(whole.metrics().ap, other.metrics().ap, "round {round}");
+                for &id in &ids {
+                    let (a, b) = (whole.processor(id).unwrap(), other.processor(id).unwrap());
+                    for block in 0..2 {
+                        assert_eq!(
+                            a.ap.memory(block),
+                            b.ap.memory(block),
+                            "round {round}: {id} block {block}"
+                        );
+                    }
+                }
+            }
+        }
+        // The pointers really did carry over: four full runs stored
+        // 16 words per lane, plus whatever the stranded round wrote.
+        for (k, &id) in ids.iter().enumerate() {
+            let out = whole.processor(id).unwrap().ap.memory(1).unwrap();
+            assert!(out.write_count() >= 16, "lane {k}");
+            assert_eq!(
+                out.peek(64).unwrap(),
+                Word((100 * k as u64 + 1) * (3 + k as u64))
+            );
         }
     }
 
     #[test]
     fn execute_batch_rejects_duplicates_and_bad_state() {
-        let (mut c, ids) = batch_ready_chip(2, 1);
+        let (mut c, ids) = batch_ready_chip(2);
         let dup = [ids[0], ids[1], ids[0]];
         assert_eq!(
             c.execute_batch(&dup, 1, 100_000).unwrap_err(),
@@ -1719,7 +1700,7 @@ mod tests {
 
     #[test]
     fn execute_batch_surfaces_lane_timeouts_after_restoring_all() {
-        let (mut c, ids) = batch_ready_chip(3, 1);
+        let (mut c, ids) = batch_ready_chip(3);
         // A zero cycle budget times out every lane, the same typed error
         // a sequential execute loop would hit first.
         let err = c.execute_batch(&ids, 1, 0).unwrap_err();

@@ -19,11 +19,7 @@
 //!   memory writes and activation as a Figure 7(d) wavefront, whether
 //!   the compiler emitted them (dataflow stages, placement-directed
 //!   deployment) or [`StagedProgram::from_blocks`] lowered them from
-//!   basic blocks (guarded stages: only the taken arm is activated);
-//! * [`region`] — the SoA region executor behind
-//!   [`VlsiChip::execute_batch`]: whole regions of APs advanced in one
-//!   cache-friendly sweep per tick, row-striped across a worker pool,
-//!   on the same engine a single [`VlsiChip::execute`] runs.
+//!   basic blocks (guarded stages: only the taken arm is activated).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,7 +28,6 @@
 
 pub mod chip;
 pub mod error;
-pub mod region;
 pub mod scaled;
 pub mod staged;
 pub mod state;

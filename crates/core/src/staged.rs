@@ -533,8 +533,8 @@ impl<P: Borrow<StagedProgram>> StagedExecutor<P> {
     /// (level, stage) order — guard check + mailbox staging +
     /// activation, one [`VlsiChip::execute_batch`] region sweep over
     /// every in-flight stage (all distinct processors, so the whole
-    /// wavefront advances as one SoA sweep on the `vlsi-par` pool),
-    /// then tap readback + deactivation. A stage whose
+    /// wavefront advances as one SoA sweep), then tap readback +
+    /// deactivation. A stage whose
     /// [guard](StagedStage::guard) fails for its dataset sits the tick
     /// out untouched — only the taken arm of a branch is activated.
     /// Deactivating a stage at the end of its tick is

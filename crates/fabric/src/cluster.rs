@@ -2,10 +2,10 @@
 //! migration, and whole-chip chaos.
 //!
 //! A [`Cluster`] owns one [`Runtime`] per chip and a [`ClusterNetwork`]
-//! bridging their dies, and drives both with one clock on one
-//! [`Pool`]. Chip `i` is always task `i` of a parallel step, and chips
-//! share no state inside it, so every cross-chip decision below reads
-//! post-barrier serial state. Each
+//! bridging their dies, and drives both with one clock. The runtime
+//! tick is the one step that fans out, over the chips on one [`Pool`]:
+//! chip `i` is always task `i`, and chips share no state inside it, so
+//! every cross-chip decision below reads post-barrier serial state. Each
 //! [`tick`](Cluster::tick) performs, in a fixed order:
 //!
 //! 1. **Chip deaths** — [`FaultKind::ChipDown`] entries of the attached
@@ -160,13 +160,8 @@ impl Cluster {
         config: ClusterConfig,
         telemetry: TelemetryHandle,
     ) -> Cluster {
-        let net = ClusterNetwork::with_telemetry(
-            topo,
-            mesh,
-            pool.clone(),
-            config.fabric.clone(),
-            telemetry.clone(),
-        );
+        let net =
+            ClusterNetwork::with_telemetry(topo, mesh, config.fabric.clone(), telemetry.clone());
         Cluster {
             chips: Vec::new(),
             pool,

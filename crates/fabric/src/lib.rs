@@ -8,11 +8,9 @@
 //! * [`ClusterTopology`] — how dies are wired (ring or 2-D torus of
 //!   chips) and the pure-function chip-level routing over that wiring.
 //! * [`ClusterNetwork`] — the moving fabric: one dedicated NoC plane
-//!   per die plus bounded-latency chip-to-chip links. Each tick runs
-//!   the planes in parallel on the shared [`vlsi_par::Pool`] (chip `i`
-//!   is always task `i`) and then commits every off-chip crossing
-//!   serially in ascending `(source chip, source router)` order, so a
-//!   run is bit-identical at any thread count.
+//!   per die plus bounded-latency chip-to-chip links. Each tick steps
+//!   the busy planes in chip order and commits every off-chip crossing
+//!   in ascending `(source chip, source router)` order.
 //! * [`Cluster`] — multi-chip scheduling on top: the chips' runtimes,
 //!   cluster-wide
 //!   admission, queued-job migration at tick boundaries, and chaos

@@ -12,17 +12,18 @@
 //! One [`ClusterNetwork::tick`] runs `cycles_per_tick` fabric cycles.
 //! Each cycle has two phases:
 //!
-//! 1. **In-phase, parallel** — every live plane advances one cycle on
-//!    the `vlsi-par` pool with the static chip-`i`-is-task-`i`
-//!    assignment. Intra-chip crossings commit here, inside each plane,
-//!    exactly as they would stand-alone.
-//! 2. **Proposals, serial** — the owner drains each plane's delivered
-//!    list in ascending chip order; within a chip the NoC has already
-//!    committed deliveries in ascending router order. A message
-//!    delivered at an edge port that still has chips to cross becomes a
-//!    *link proposal*, committed onto the link queue immediately — so
-//!    the queue order is exactly ascending (source chip, source router),
-//!    independent of thread count.
+//! 1. **In-phase** — every live plane that carries traffic advances one
+//!    cycle, in chip order. Intra-chip crossings commit here, inside
+//!    each plane, exactly as they would stand-alone.
+//! 2. **Proposals** — the owner drains each plane's delivered list in
+//!    ascending chip order; within a chip the NoC has already committed
+//!    deliveries in ascending router order. A message delivered at an
+//!    edge port that still has chips to cross becomes a *link proposal*,
+//!    committed onto the link queue immediately — so the queue order is
+//!    exactly ascending (source chip, source router).
+//!
+//! The cycle loop ends early once every live plane is idle after phase
+//! 2: the cycles it skips would tick nothing and deliver nothing.
 //!
 //! After the cycle loop, links transmit in fixed index order
 //! (`chip * 4 + direction`): up to `link_bandwidth` packets whose
@@ -42,10 +43,8 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
 
 use vlsi_noc::{NocNetwork, WormId};
-use vlsi_par::Pool;
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::{Coord, Dir};
 
@@ -172,7 +171,6 @@ pub struct ClusterNetwork {
     next_msg: u64,
     now: u64,
     config: FabricConfig,
-    pool: Arc<Pool>,
     stats: FabricStats,
     telemetry: TelemetryHandle,
 }
@@ -180,24 +178,18 @@ pub struct ClusterNetwork {
 impl ClusterNetwork {
     /// A cluster of `topo.chips()` planes, each a `mesh.0 × mesh.1`
     /// die, with no telemetry.
-    pub fn new(
-        topo: ClusterTopology,
-        mesh: (u16, u16),
-        pool: Arc<Pool>,
-        config: FabricConfig,
-    ) -> ClusterNetwork {
-        ClusterNetwork::with_telemetry(topo, mesh, pool, config, TelemetryHandle::disabled())
+    pub fn new(topo: ClusterTopology, mesh: (u16, u16), config: FabricConfig) -> ClusterNetwork {
+        ClusterNetwork::with_telemetry(topo, mesh, config, TelemetryHandle::disabled())
     }
 
     /// Like [`new`](Self::new), recording `fabric.*` instruments through
     /// `telemetry`. Each plane records through its own fork (live
     /// exactly when `telemetry` is), merged in chip order by
-    /// [`merged_telemetry`](Self::merged_telemetry) — the fork-per-task
-    /// pattern that keeps exports byte-identical at any thread count.
+    /// [`merged_telemetry`](Self::merged_telemetry). Gauges add on
+    /// merge, so one shared registry would export different values.
     pub fn with_telemetry(
         topo: ClusterTopology,
         mesh: (u16, u16),
-        pool: Arc<Pool>,
         config: FabricConfig,
         telemetry: TelemetryHandle,
     ) -> ClusterNetwork {
@@ -218,7 +210,6 @@ impl ClusterNetwork {
             next_msg: 0,
             now: 0,
             config,
-            pool,
             stats: FabricStats::default(),
             telemetry,
         }
@@ -356,33 +347,22 @@ impl ClusterNetwork {
         }
     }
 
-    /// Advances the cluster one tick: `cycles_per_tick` two-phase fabric
-    /// cycles (planes in parallel, then a serial commit in ascending
-    /// chip order), then one round of link transmission in fixed
-    /// link-index order.
+    /// Advances the cluster one tick: up to `cycles_per_tick` two-phase
+    /// fabric cycles (planes, then a commit in ascending chip order),
+    /// then one round of link transmission in fixed link-index order.
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.ticks += 1;
         let chips = self.planes.len();
         for _ in 0..self.config.cycles_per_tick {
-            // Phase 1 — in-phase, parallel: chip i is task i. Idle
-            // planes are skipped, so a plane's clock only advances
-            // while it carries traffic; idleness is pure simulation
-            // state, so the skip is identical at every thread count.
-            {
-                let dead = &self.dead;
-                let views: Vec<Mutex<&mut NocNetwork>> =
-                    self.planes.iter_mut().map(Mutex::new).collect();
-                self.pool.run(chips, &|i| {
-                    if !dead[i] {
-                        let mut plane = views[i].lock().unwrap_or_else(|e| e.into_inner());
-                        if !plane.is_idle() {
-                            plane.tick();
-                        }
-                    }
-                });
+            // Phase 1 — in chip order. Idle planes are skipped, so a
+            // plane's clock only advances while it carries traffic.
+            for (plane, &dead) in self.planes.iter_mut().zip(&self.dead) {
+                if !dead && !plane.is_idle() {
+                    plane.tick();
+                }
             }
-            // Phase 2 — serial commit, ascending (chip, router) order:
+            // Phase 2 — commit in ascending (chip, router) order:
             // the NoC already commits a cycle's deliveries in ascending
             // router order, so draining chips in index order yields the
             // canonical proposal order.
@@ -406,6 +386,15 @@ impl ClusterNetwork {
                         self.retransmit_or_fail(msg, "plane transport failed");
                     }
                 }
+            }
+            // Every later cycle would tick no plane and drain nothing.
+            if self
+                .planes
+                .iter()
+                .zip(&self.dead)
+                .all(|(p, &dead)| dead || p.is_idle())
+            {
+                break;
             }
         }
         // Link transmission, fixed link-index order.
@@ -469,8 +458,7 @@ impl ClusterNetwork {
     }
 
     /// A fresh registry holding the fabric's own instruments plus every
-    /// plane's, merged in chip order — byte-identical per seed at any
-    /// thread count.
+    /// plane's, merged in chip order — byte-identical per seed.
     pub fn merged_telemetry(&self) -> TelemetryHandle {
         let merged = TelemetryHandle::active();
         merged.merge_from(&self.telemetry);
@@ -603,11 +591,10 @@ pub const FABRIC_HEADER: u64 = 0xFAB0_C0DE_0000_0001;
 mod tests {
     use super::*;
 
-    fn net(threads: usize, topo: ClusterTopology) -> ClusterNetwork {
+    fn net(topo: ClusterTopology) -> ClusterNetwork {
         ClusterNetwork::with_telemetry(
             topo,
             (8, 8),
-            Pool::new(threads),
             FabricConfig::default(),
             TelemetryHandle::active(),
         )
@@ -624,7 +611,7 @@ mod tests {
 
     #[test]
     fn same_chip_sends_deliver_without_crossings() {
-        let mut n = net(1, ClusterTopology::ring(2));
+        let mut n = net(ClusterTopology::ring(2));
         let msg = n
             .send(0, Coord::new(0, 0), 0, Coord::new(7, 7), vec![1, 2, 3])
             .unwrap();
@@ -639,7 +626,7 @@ mod tests {
 
     #[test]
     fn cross_chip_sends_cross_links_and_keep_payloads() {
-        let mut n = net(1, ClusterTopology::ring(4));
+        let mut n = net(ClusterTopology::ring(4));
         let msg = n
             .send(0, Coord::new(2, 3), 2, Coord::new(5, 1), vec![9, 8, 7])
             .unwrap();
@@ -654,9 +641,9 @@ mod tests {
     }
 
     #[test]
-    fn storm_is_bit_identical_across_thread_counts() {
-        let run = |threads: usize| {
-            let mut n = net(threads, ClusterTopology::torus(2, 2));
+    fn storm_replays_bit_identically() {
+        let run = || {
+            let mut n = net(ClusterTopology::torus(2, 2));
             let mut k = 0u64;
             for src in 0..4usize {
                 for dst in 0..4usize {
@@ -682,15 +669,12 @@ mod tests {
                 n.merged_telemetry().snapshot().to_json(),
             )
         };
-        let serial = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), serial, "{threads} threads");
-        }
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn chip_death_reroutes_or_fails_typed_never_hangs() {
-        let mut n = net(1, ClusterTopology::ring(4));
+        let mut n = net(ClusterTopology::ring(4));
         // A message that must transit chip 1 (0 → 2 goes East), plus one
         // addressed to chip 1 itself.
         let transit = n
@@ -729,7 +713,7 @@ mod tests {
 
     #[test]
     fn isolated_destination_fails_every_message_typed() {
-        let mut n = net(2, ClusterTopology::ring(3));
+        let mut n = net(ClusterTopology::ring(3));
         n.fail_chip(1);
         n.fail_chip(2);
         // Only chip 0 lives; nothing can leave it.
@@ -742,7 +726,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_crossings_and_occupancy() {
-        let mut n = net(1, ClusterTopology::ring(2));
+        let mut n = net(ClusterTopology::ring(2));
         for i in 0..6u64 {
             n.send(
                 0,

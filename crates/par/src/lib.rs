@@ -1,7 +1,9 @@
 //! # vlsi-par — a deterministic static-partition worker pool
 //!
-//! The execution layer the parallel simulator paths share. The design
-//! rule is **determinism first**: there is no work stealing and no
+//! The execution layer behind the one threaded simulator path: a
+//! multi-chip `Cluster` ticking its chips (chip `i` is task `i`). The
+//! fabric planes and the region sweep run serially. The design rule is
+//! **determinism first**: there is no work stealing and no
 //! scheduler feedback of any kind. Task `i` of an `n`-thread region
 //! always runs on worker `i % n`, results are always reduced in task
 //! order, and nothing about timing can change *what* is computed — so a
@@ -11,9 +13,10 @@
 //! The pool is zero-dependency (std only) and persistent: workers are
 //! spawned once and parked on a condvar between parallel regions, so a
 //! region costs two lock handoffs per worker rather than a thread
-//! spawn. That keeps fine-grained regions (the lane stripes of a region
-//! sweep) viable while coarse regions (the chips of a multi-chip
-//! cluster) amortise it to nothing.
+//! spawn. That is not free: on a 2-core host a 4-chip cluster on two
+//! workers serves fewer jobs per second than on one, because most ticks
+//! give each chip too little work to pay for the handoffs (EXPERIMENTS
+//! Ablation XVI).
 //!
 //! ```
 //! use vlsi_par::Pool;
@@ -34,9 +37,9 @@
 //! the pointer outside the epoch window that published it.
 //!
 //! Re-entrant regions (a task calling back into the pool) execute
-//! inline on the calling thread — deterministic and deadlock-free, so
-//! e.g. a cluster chip whose NoC is also pool-attached degrades to a
-//! serial NoC tick instead of wedging the pool.
+//! inline on the calling thread — deterministic and deadlock-free, so a
+//! task that fans out again runs its inner region serially instead of
+//! wedging the pool.
 
 #![deny(missing_docs)]
 

@@ -42,12 +42,22 @@ impl FoldMap {
         Ok(FoldMap { path, index })
     }
 
+    /// A fold from a path its construction makes valid — every hop
+    /// adjacent, no coordinate repeated. Debug builds re-check both.
+    fn from_valid_path(path: Vec<Coord>) -> FoldMap {
+        let index: HashMap<Coord, usize> = path.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        debug_assert_eq!(index.len(), path.len(), "fold path repeats a cell");
+        debug_assert!(path.windows(2).all(|w| w[0].is_adjacent(w[1])));
+        FoldMap { path, index }
+    }
+
     /// Number of folded positions.
     pub fn len(&self) -> usize {
         self.path.len()
     }
 
-    /// Whether the fold is empty (never true for a constructed fold).
+    /// Whether the fold is empty (true only for the fold of an empty
+    /// grid).
     pub fn is_empty(&self) -> bool {
         self.path.is_empty()
     }
@@ -70,7 +80,8 @@ impl FoldMap {
     /// Whether the fold's two ends are adjacent — i.e. the path can close
     /// into the ring of Figure 5 with one more chained switch.
     pub fn closes_as_ring(&self) -> bool {
-        self.path.len() >= 3 && self.path[0].is_adjacent(*self.path.last().unwrap())
+        let n = self.path.len();
+        n >= 3 && self.path[0].is_adjacent(self.path[n - 1])
     }
 
     /// Physical Manhattan distance between two stack slots — what a chain
@@ -91,7 +102,8 @@ impl FoldMap {
 }
 
 /// The serpentine fold of a `w × h` grid (Figure 4(c)): row-major, with
-/// every odd row reversed.
+/// every odd row reversed. A grid with a zero side folds to the empty
+/// fold.
 pub fn serpentine(w: u16, h: u16) -> FoldMap {
     let mut path = Vec::with_capacity(w as usize * h as usize);
     for y in 0..h {
@@ -105,7 +117,7 @@ pub fn serpentine(w: u16, h: u16) -> FoldMap {
             }
         }
     }
-    FoldMap::from_path(path).expect("serpentine is always a valid fold")
+    FoldMap::from_valid_path(path)
 }
 
 /// A ring fold of a `w × h` rectangle (Figure 5): a Hamiltonian cycle,
@@ -136,12 +148,12 @@ pub fn rect_ring(w: u16, h: u16) -> Option<FoldMap> {
         for y in (1..h).rev() {
             path.push(Coord::new(0, y));
         }
-        return Some(FoldMap::from_path(path).expect("rail ring is always valid"));
+        return Some(FoldMap::from_valid_path(path));
     }
     // h odd, so w must be even: transpose.
     let t = rect_ring(h, w)?;
     let path = t.path().iter().map(|c| Coord::new(c.y, c.x)).collect();
-    Some(FoldMap::from_path(path).expect("transposed ring stays valid"))
+    Some(FoldMap::from_valid_path(path))
 }
 
 /// The two-die fold (Figure 6(d)): serpentine across layer 0, one hop up
@@ -150,13 +162,12 @@ pub fn rect_ring(w: u16, h: u16) -> Option<FoldMap> {
 pub fn die_stack(w: u16, h: u16) -> FoldMap {
     let bottom = serpentine(w, h);
     let mut path = bottom.path().to_vec();
-    let &last = path.last().expect("nonempty fold");
-    // Rise through the 3D switch, then retrace in reverse on the top die.
-    for (i, c) in bottom.path().iter().rev().enumerate() {
-        debug_assert!(i != 0 || c == &last);
+    // Rise through the 3D switch above the last cell, then retrace in
+    // reverse on the top die.
+    for c in bottom.path().iter().rev() {
         path.push(Coord::on_layer(c.x, c.y, 1));
     }
-    FoldMap::from_path(path).expect("die-stack fold is always valid")
+    FoldMap::from_valid_path(path)
 }
 
 #[cfg(test)]

@@ -186,8 +186,7 @@ impl Region {
                 .map(|c| Coord::on_layer(origin.x + c.x, origin.y + c.y, origin.layer))
                 .collect();
             if !ring {
-                let fold = FoldMap::from_path(path).expect("translated serpentine stays valid");
-                return Ok(fold);
+                return FoldMap::from_path(path);
             }
             let Some(cycle) = crate::fold::rect_ring(w, h) else {
                 return Err(TopologyError::NoRingPath);
@@ -197,8 +196,7 @@ impl Region {
                 .iter()
                 .map(|c| Coord::on_layer(origin.x + c.x, origin.y + c.y, origin.layer))
                 .collect();
-            let fold = FoldMap::from_path(path).expect("translated ring stays valid");
-            return Ok(fold);
+            return FoldMap::from_path(path);
         }
         // Serpentine-prefix shapes (full rows plus one partial row — what
         // the allocator carves) thread directly without search.
@@ -269,10 +267,12 @@ impl Region {
             return Err(TopologyError::SearchBudgetExceeded);
         }
         *budget -= 1;
+        let Some(&cur) = path.last() else {
+            return Ok(false);
+        };
         if path.len() == self.cells.len() {
-            return Ok(!ring || path[0].is_adjacent(*path.last().unwrap()));
+            return Ok(!ring || path[0].is_adjacent(cur));
         }
-        let cur = *path.last().unwrap();
         for d in crate::coord::Dir::ALL {
             let Some(n) = cur.step(d) else { continue };
             if !self.cells.contains(&n) || visited.contains(&n) {

@@ -327,8 +327,7 @@ impl SwitchFabric {
             self.store(2);
             self.chain(a, b, owner)?;
         }
-        if close_ring && path.len() >= 3 {
-            let (last, first) = (*path.last().unwrap(), path[0]);
+        if let (true, &[first, _, .., last]) = (close_ring, path) {
             let d = last
                 .dir_to(first)
                 .ok_or(TopologyError::NotAdjacent(last, first))?;

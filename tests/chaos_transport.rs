@@ -212,9 +212,15 @@ fn csd_chaos_sweep_keeps_invariants() {
 
 // --- Runtime / S-topology ----------------------------------------------------
 
+/// Defects aimed at running tenants per [`runtime_chaos_run`]. The
+/// seeded plan mostly lands on free or pooled clusters; these make sure
+/// recovery under a running job is exercised in every run.
+const AIMED_DEFECTS: usize = 3;
+
 /// One deterministic runtime chaos run: a mixed tenant batch while
 /// seed-driven switch faults land mid-run, stepped tick by tick with both
-/// ledgers checked after every tick.
+/// ledgers checked after every tick. At seeded ticks a defect is also
+/// aimed at a cluster of a running job, to land on the next tick.
 fn runtime_chaos_run(seed: u64, rate: f64) -> Runtime {
     // Telemetry stays live through every chaos run: recording must never
     // perturb the schedule, and the end-of-run report must render. The
@@ -233,6 +239,8 @@ fn runtime_chaos_run(seed: u64, rate: f64) -> Runtime {
         rt.submit(spec);
     }
     let label = format!("seed {seed} rate {rate}");
+    let mut rng = Prng::seed_from_u64(seed ^ 0xDEFE_C700);
+    let mut aimed = 0;
     for tick in 0.. {
         if rt.outstanding() == 0 {
             break;
@@ -241,8 +249,30 @@ fn runtime_chaos_run(seed: u64, rate: f64) -> Runtime {
         rt.tick()
             .expect("a chaos tick surfaces failures as job events");
         ledger::assert_balanced(&rt, &format!("{label} tick {tick}"));
+        if aimed < AIMED_DEFECTS && rng.gen_bool(0.25) {
+            if let Some(coord) = cluster_of_a_running_job(&rt, &mut rng) {
+                rt.inject_defect_at(rt.now() + 1, coord);
+                aimed += 1;
+            }
+        }
     }
     rt
+}
+
+/// A seeded pick among the clusters of running jobs' processors that
+/// the free space could take whole, so relocation has somewhere to go:
+/// a processor, then one of its cells.
+fn cluster_of_a_running_job(rt: &Runtime, rng: &mut Prng) -> Option<Coord> {
+    let room = rt.chip().largest_gatherable();
+    let victims: Vec<_> = rt
+        .jobs()
+        .filter(|j| j.state == JobState::Running)
+        .flat_map(|j| &j.procs)
+        .filter_map(|&p| rt.chip().processor(p).ok())
+        .filter(|p| p.region.len() <= room)
+        .collect();
+    let cells: Vec<Coord> = rng.choose(&victims)?.region.cells().collect();
+    rng.choose(&cells).copied()
 }
 
 #[test]
@@ -254,6 +284,14 @@ fn runtime_chaos_resolves_every_job_and_replays_identically() {
             // carries a typed failure, and its log says so exactly once.
             let label = format!("seed {seed} rate {rate}");
             terminal::assert_one_terminal_event(&rt, &label);
+            // Recovery under a running job: at least one aimed defect
+            // relocated its victim in place.
+            let recovered = rt
+                .events()
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::DefectRecovered { .. }))
+                .count();
+            assert!(recovered > 0, "{label}: no defect was recovered in place");
             // Every processor state write is a Figure 6(e) edge.
             lifecycle::assert_figure_6e_paths(&rt, &label);
             for rec in rt.jobs() {

@@ -1,15 +1,16 @@
-//! Integration: parallel execution is bit-identical to serial.
+//! Integration: parallel execution is bit-identical to serial, and
+//! serial runs replay.
 //!
-//! The `vlsi-par` pool uses a *static* task→worker assignment, and every
-//! parallel section in the stack either commits cross-task effects in a
-//! fixed serial order (the cluster's chip→task mapping and the fabric's
-//! two-phase tick) or has none (the region sweep's lane stripes) — so a
-//! run at 2 or 8 threads must reproduce the serial run byte for byte:
-//! event logs, telemetry exports, delivered lists, checksums,
-//! everything. This file is the cross-layer pin: the observable tests
-//! compare whole runs across thread counts, and the digest tests hold
-//! every hot-path workload to one literal text, which also catches drift
-//! across processes and commits.
+//! One layer of the stack is threaded: a `Cluster` ticks its chips on a
+//! `vlsi-par` pool with a *static* chip→task assignment and commits
+//! every cross-chip effect in a fixed serial order — so a cluster run at
+//! 2 or 8 threads must reproduce the serial run byte for byte: event
+//! logs, telemetry exports, checksums, everything. The fabric planes and
+//! the region sweep run serially, so their tests are replays at one
+//! setting. This file is the cross-layer pin: the observable tests
+//! compare whole runs, and the digest tests hold every hot-path workload
+//! to one literal text, which also catches drift across processes and
+//! commits.
 
 #[path = "support/hotpath.rs"]
 mod hotpath;
@@ -18,15 +19,14 @@ use hotpath::{
     chaos_mix, cluster_4x, cluster_mix, compile_corpus, digest, gather_release_churn,
     sched_acceptance, soa_sweep, staged_pipeline, ACCEPT_JOBS,
 };
-use vlsi_processor::par::Pool;
 use vlsi_processor::prng::Prng;
 use vlsi_processor::telemetry::TelemetryHandle;
 use vlsi_processor::topology::Coord;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// `digest` at seed 2012. Identical at every thread count and in debug
-/// and release builds; a change that moves a line must say which and why.
+/// `digest` at seed 2012. Identical at every cluster thread count and
+/// in debug and release builds; a change that moves a line must say which and why.
 const PINNED_DIGEST: &str = "\
 seed 2012
 cluster_64x64x4 completed 160
@@ -100,13 +100,12 @@ fn cluster_mix_is_bit_identical_across_thread_counts() {
 /// seed-driven sends between random chips/routers, drained through the
 /// two-phase fabric tick. Returns every observable: deliveries,
 /// failures, fabric stats, and the merged telemetry export.
-fn fabric_storm_observables(threads: usize, seed: u64, kill_a_chip: bool) -> String {
+fn fabric_storm_observables(seed: u64, kill_a_chip: bool) -> String {
     use vlsi_processor::fabric::{ClusterNetwork, ClusterTopology, FabricConfig};
     let (w, h) = (16u16, 16u16);
     let mut net = ClusterNetwork::with_telemetry(
         ClusterTopology::torus(2, 2),
         (w, h),
-        Pool::new(threads),
         FabricConfig::default(),
         TelemetryHandle::active(),
     );
@@ -143,32 +142,18 @@ fn fabric_storm_observables(threads: usize, seed: u64, kill_a_chip: bool) -> Str
 }
 
 #[test]
-fn cross_chip_storm_is_bit_identical_across_thread_counts() {
+fn cross_chip_storm_replays_bit_identically() {
     for seed in [7, 2012] {
-        let serial = fabric_storm_observables(1, seed, false);
-        assert!(serial.contains("delivered"), "storm must deliver");
-        for threads in THREADS {
-            assert_eq!(
-                fabric_storm_observables(threads, seed, false),
-                serial,
-                "seed {seed}, {threads} threads"
-            );
-        }
+        let first = fabric_storm_observables(seed, false);
+        assert!(first.contains("delivered"), "storm must deliver");
+        assert_eq!(fabric_storm_observables(seed, false), first, "seed {seed}");
     }
 }
 
 #[test]
 fn cross_chip_storm_with_chip_failure_is_bit_identical() {
-    let serial = fabric_storm_observables(1, 2012, true);
-    for threads in THREADS {
-        assert_eq!(
-            fabric_storm_observables(threads, 2012, true),
-            serial,
-            "{threads} threads"
-        );
-    }
-    // Replay at the same thread count too.
-    assert_eq!(fabric_storm_observables(8, 2012, true), serial);
+    let first = fabric_storm_observables(2012, true);
+    assert_eq!(fabric_storm_observables(2012, true), first);
 }
 
 #[test]
@@ -224,32 +209,20 @@ fn chaos_mix_replays() {
 fn staged_pipeline_digests_match_and_replay() {
     // A small dataset count keeps the test quick; the full 32-set batch
     // runs in the pinned digest.
-    let a = staged_pipeline(1, 4);
+    let a = staged_pipeline(4);
     assert_eq!(a.graphs, 12);
     assert_eq!(
         a.digest_seq, a.digest_pipe,
         "pipelined outputs must reproduce the sequential walk bit for bit"
     );
-    for threads in [2usize, 8] {
-        let b = staged_pipeline(threads, 4);
-        assert_eq!(
-            a.digest_pipe, b.digest_pipe,
-            "identical at {threads} threads"
-        );
-        assert_eq!(b.digest_seq, b.digest_pipe);
-    }
+    let b = staged_pipeline(4);
+    assert_eq!(a.digest_pipe, b.digest_pipe, "the wavefront replays");
+    assert_eq!(b.digest_seq, b.digest_pipe);
 }
 
 #[test]
-fn soa_sweep_replays_at_every_thread_count() {
+fn soa_sweep_replays() {
     // A small instance keeps the test quick; the full 1024-lane region
     // runs in the pinned digest.
-    let a = soa_sweep(1, 16, 8);
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            a,
-            soa_sweep(threads, 16, 8),
-            "identical at {threads} threads"
-        );
-    }
+    assert_eq!(soa_sweep(16, 8), soa_sweep(16, 8));
 }

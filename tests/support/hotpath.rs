@@ -456,11 +456,8 @@ const SOA_STREAM_LEN: u64 = 256;
 /// datapath state is a real working set — the regime the SoA layout is
 /// for — rather than a trivial three-node loop that fits in a cache
 /// line either way.
-fn soa_ready_chip(width: u16, lanes: usize, threads: usize) -> (VlsiChip, Vec<ProcessorId>) {
+fn soa_ready_chip(width: u16, lanes: usize) -> (VlsiChip, Vec<ProcessorId>) {
     let mut chip = VlsiChip::new(width, width, Cluster::default());
-    if threads > 1 {
-        chip.set_region_parallel(Pool::new(threads));
-    }
     let mut ids = Vec::with_capacity(lanes);
     for k in 0..lanes {
         let id = chip.gather_any(4).expect("the die must fit every lane").id;
@@ -555,11 +552,10 @@ fn sweep_digest(chip: &mut VlsiChip, ids: &[ProcessorId], reports: &[ExecutionRe
 }
 
 /// The SoA sweep workload: a `lanes`-AP region executed through
-/// `execute_batch`'s struct-of-arrays region sweep on a `threads`-wide
-/// pool. Returns the FNV digest over every report and every stored
-/// output word.
-pub fn soa_sweep(threads: usize, lanes: usize, width: u16) -> u64 {
-    let (mut chip, ids) = soa_ready_chip(width, lanes, threads);
+/// `execute_batch`'s struct-of-arrays region sweep. Returns the FNV
+/// digest over every report and every stored output word.
+pub fn soa_sweep(lanes: usize, width: u16) -> u64 {
+    let (mut chip, ids) = soa_ready_chip(width, lanes);
     let reports = chip
         .execute_batch(&ids, 1, 1_000_000)
         .expect("SoA region sweep");
@@ -593,9 +589,8 @@ pub struct StagedPipelineReport {
 /// datasets across levels). Each path runs on a freshly deployed chip;
 /// every pipelined output is also
 /// checked against the netlist evaluator, so the digest doubles as a
-/// correctness pin. With `threads > 1` the per-tick wavefront sweeps on
-/// a `threads`-wide pool — the digests must not move.
-pub fn staged_pipeline(threads: usize, datasets: usize) -> StagedPipelineReport {
+/// correctness pin.
+pub fn staged_pipeline(datasets: usize) -> StagedPipelineReport {
     use std::collections::HashMap;
     use vlsi_compile::{compile, CompileOptions};
 
@@ -609,11 +604,8 @@ pub fn staged_pipeline(threads: usize, datasets: usize) -> StagedPipelineReport 
     };
     let mut seq_text = String::new();
     let mut pipe_text = String::new();
-    let deploy = |c: &vlsi_compile::Compilation, threads: usize| {
+    let deploy = |c: &vlsi_compile::Compilation| {
         let mut chip = VlsiChip::new(opts.chip_width, opts.chip_height, Cluster::default());
-        if threads > 1 {
-            chip.set_region_parallel(Pool::new(threads));
-        }
         let exec =
             StagedExecutor::deploy_placed(&mut chip, c.program.clone(), &c.placement.regions)
                 .expect("the default die must fit every corpus program");
@@ -632,13 +624,13 @@ pub fn staged_pipeline(threads: usize, datasets: usize) -> StagedPipelineReport 
             })
             .collect();
 
-        let (mut chip, exec) = deploy(&c, threads);
+        let (mut chip, exec) = deploy(&c);
         let seq_outs: Vec<Vec<i64>> = batch
             .iter()
             .map(|env| exec.run(&mut chip, env).expect("sequential run").0)
             .collect();
 
-        let (mut chip, exec) = deploy(&c, threads);
+        let (mut chip, exec) = deploy(&c);
         let (pipe_outs, _) = exec
             .run_pipelined(&mut chip, &batch)
             .expect("pipelined run");
@@ -662,7 +654,8 @@ pub fn staged_pipeline(threads: usize, datasets: usize) -> StagedPipelineReport 
     report
 }
 
-/// Runs every workload once on a `threads`-wide pool and renders one
+/// Runs every workload once, the cluster ones on a `threads`-wide
+/// pool, and renders one
 /// line per checksum: no timings, no thread count, no git rev. The text
 /// must be byte-identical at every thread count, in every build profile
 /// and at every commit that does not mean to move a digest;
@@ -675,9 +668,9 @@ pub fn digest(threads: usize) -> String {
     let (cluster_completed, cluster_msgs, cluster_fnv) = cluster_4x(threads);
     let ingest = ingest_open_loop(threads);
     let (compile_graphs, compile_completed, compile_fnv) = compile_corpus(threads);
-    let digest_soa = soa_sweep(threads, SOA_SWEEP_LANES, 64);
+    let digest_soa = soa_sweep(SOA_SWEEP_LANES, 64);
     let (_, chaos128_fnv) = chaos_mix_sized(128, 40);
-    let pipe = staged_pipeline(threads, PIPELINE_DATASETS);
+    let pipe = staged_pipeline(PIPELINE_DATASETS);
     format!(
         "seed {SEED}\n\
          cluster_64x64x4 completed {completed}\n\
